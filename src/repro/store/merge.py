@@ -38,10 +38,7 @@ def merge_store(dest, source) -> MergeOutcome:
     """Fold every record of ``source`` into ``dest`` (last-wins as
     seen by ``source``'s own replay order)."""
     scanned = merged = identical = archs = 0
-    for key in source.keys():
-        payload = source.get(key)
-        if payload is None:
-            continue
+    for key, payload in source.items():
         scanned += 1
         existing = dest.get(key)
         if existing == payload:

@@ -42,8 +42,11 @@ from typing import (
 from repro.store.result_store import ResultStore, StoreStats
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def _is_hex(text: str) -> bool:
-    return bool(text) and all(c in "0123456789abcdef" for c in text)
+    return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
 @dataclass(frozen=True)
@@ -270,10 +273,7 @@ class Query:
         schema_fields = _current_schema_fields()
         latency_cache: Dict[str, Optional[float]] = {}
         rows = []
-        for key in self._store.keys():
-            payload = self._store.get(key)
-            if payload is None:       # compacted away mid-iteration
-                continue
+        for key, payload in self._store.items():
             parsed = parse_key(key)
             if parsed is not None:
                 workload, policy = parsed.workload, parsed.policy

@@ -39,6 +39,19 @@ scanning segments lazily per shard; on a lookup miss the shard is
 re-scanned incrementally (only bytes appended since the last scan), so
 a store instance observes records published by concurrent writers
 without re-reading whole files.
+
+The index is lazy in the payload.  A line framed exactly as
+``_encode_entry`` writes it -- ``{"k": "<key>", "r": <payload>}`` with
+printable-ASCII key text holding no quote or backslash -- is indexed
+by one regular-expression pass over the scanned bytes as key -> raw
+payload bytes, and its payload is parsed only when ``get`` first reads
+it, then memoised.  Every other line (escaped or non-ASCII keys,
+foreign framing, damage) is decoded eagerly during the scan, as
+before.  So opening a shard to serve a handful of keys costs one
+regex pass, not one ``json.loads`` per record.  If a lazily indexed
+winner turns out to be corrupt, the shard's index is rebuilt from a
+full eager replay, so the entry that line shadowed is served exactly
+as an eager scan would serve it.
 """
 
 from __future__ import annotations
@@ -46,6 +59,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -197,6 +212,50 @@ def _decode_entry(line: bytes) -> Optional[Tuple[str, dict]]:
     return key, payload
 
 
+def _decode_payload(raw: bytes) -> Optional[dict]:
+    """Parse a lazily indexed payload; ``None`` if it is not a JSON
+    object (the line it came from is then corrupt).  Decoded as UTF-8,
+    as ``json.loads`` decodes the whole line, so a payload parses here
+    exactly when its line parses in :func:`_decode_entry`."""
+    try:
+        payload = json.loads(raw.decode("utf-8", "surrogatepass"))
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+#: One segment line: either framed exactly as ``_encode_entry`` writes
+#: it, with a key that needs no JSON escape (groups 1-2: key text, raw
+#: payload), or anything else (group 3).
+_SEGMENT_LINE = re.compile(
+    rb'^\{"k": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", "r": (.*)\}$|^(.+)$',
+    re.MULTILINE,
+)
+
+
+def _index_entries(data: bytes, end: int) -> Iterator[Tuple[str, object]]:
+    """``(key, payload)`` for each entry in ``data[:end]``, in order.
+
+    Canonically framed lines yield their raw payload bytes, undecoded;
+    every other line is decoded eagerly and yields a dict, or nothing
+    if it is blank or corrupt.  A chunk holding a carriage return
+    (which ``_encode_entry`` never writes, and ``bytes.splitlines``
+    treats as a line break) is decoded eagerly whole.
+    """
+    if data.find(b"\r", 0, end) >= 0:
+        matches = [(b"", b"", data[:end])]
+    else:
+        matches = _SEGMENT_LINE.findall(data, 0, end)
+    for key, raw, other in matches:
+        if not other:
+            yield key.decode("ascii"), raw
+            continue
+        for line in other.splitlines():
+            decoded = _decode_entry(line) if line.strip() else None
+            if decoded is not None:
+                yield decoded
+
+
 def _segment_sort_key(name: str) -> Tuple[int, str]:
     # seg-<seq>-<writer>.jsonl -> (seq, writer); malformed names sort
     # first so a stray file can never shadow real segments.
@@ -215,11 +274,13 @@ def _is_segment_name(name: str) -> bool:
 class _ShardState:
     """Per-shard index plus incremental-scan bookkeeping."""
 
-    __slots__ = ("index", "source", "scanned", "corrupt_lines",
+    __slots__ = ("index", "source", "scanned",
                  "writer_path", "writer_handle", "writer_rank")
 
     def __init__(self) -> None:
-        self.index: Dict[str, dict] = {}
+        #: key -> payload dict, or the raw payload bytes of a lazily
+        #: indexed line that no ``get`` has read yet.
+        self.index: Dict[str, object] = {}
         #: key -> (seq, writer) rank of the segment its indexed payload
         #: came from.  Incremental refreshes apply segment deltas in
         #: directory order, not strictly in rank order (two writers'
@@ -229,7 +290,6 @@ class _ShardState:
         self.source: Dict[str, Tuple[int, str]] = {}
         #: segment path -> bytes consumed (always ends on a newline).
         self.scanned: Dict[str, int] = {}
-        self.corrupt_lines = 0
         self.writer_path: Optional[str] = None
         self.writer_handle = None
         self.writer_rank: Tuple[int, str] = (0, "")
@@ -262,6 +322,9 @@ class ResultStore:
             os.makedirs(root, exist_ok=True)
         self.shards = self._init_format(shards, create)
         self._states: Dict[int, _ShardState] = {}
+        # Serialises index mutation (scans, memoised decodes, replays,
+        # appends): ``repro serve`` reads one store from many threads.
+        self._lock = threading.RLock()
         # Unique per instance so two writers never share a segment
         # file: pid guards cross-process, the counter guards multiple
         # stores in one process (common in tests and tooling).
@@ -337,8 +400,14 @@ class ResultStore:
     def _state(self, shard: int) -> _ShardState:
         state = self._states.get(shard)
         if state is None:
-            state = self._states[shard] = _ShardState()
-            self._refresh(shard, state)
+            with self._lock:
+                state = self._states.get(shard)
+                if state is None:
+                    # Published only once scanned, so a concurrent
+                    # reader never sees a half-built index.
+                    state = _ShardState()
+                    self._refresh(shard, state)
+                    self._states[shard] = state
         return state
 
     # -- scanning -----------------------------------------------------------
@@ -352,38 +421,54 @@ class ResultStore:
         crashed writer's partial tail is ignored forever.
         """
         directory = self._shard_dir(shard)
-        for name in self._shard_segments(shard):
-            path = os.path.join(directory, name)
-            rank = _segment_sort_key(name)
-            consumed = state.scanned.get(path, 0)
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                # Compacted away under us; its live entries are in a
-                # later segment which this same loop replays.
-                state.scanned.pop(path, None)
-                continue
-            if size <= consumed:
-                continue
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(consumed)
-                    chunk = handle.read(size - consumed)
-            except OSError:
-                continue
-            complete = chunk.rfind(b"\n") + 1
-            for line in chunk[:complete].splitlines():
-                if not line.strip():
+        with self._lock:
+            for name in self._shard_segments(shard):
+                path = os.path.join(directory, name)
+                rank = _segment_sort_key(name)
+                consumed = state.scanned.get(path, 0)
+                try:
+                    size = os.path.getsize(path)
+                except OSError:
+                    # Compacted away under us; its live entries are in
+                    # a later segment which this same loop replays.
+                    state.scanned.pop(path, None)
                     continue
-                decoded = _decode_entry(line)
-                if decoded is None:
-                    state.corrupt_lines += 1
+                if size <= consumed:
                     continue
-                key, payload = decoded
-                if rank >= state.source.get(key, (-1, "")):
-                    state.index[key] = payload
-                    state.source[key] = rank
-            state.scanned[path] = consumed + complete
+                try:
+                    with open(path, "rb") as handle:
+                        handle.seek(consumed)
+                        chunk = handle.read(size - consumed)
+                except OSError:
+                    continue
+                complete = chunk.rfind(b"\n") + 1
+                for key, payload in _index_entries(chunk, complete):
+                    if rank >= state.source.get(key, (-1, "")):
+                        state.index[key] = payload
+                        state.source[key] = rank
+                state.scanned[path] = consumed + complete
+
+    def _read(self, shard: int, state: _ShardState,
+              key: str) -> Optional[dict]:
+        """The indexed payload of ``key``, decoding a raw one on first
+        read.  A raw winner that fails to decode was a corrupt line the
+        eager scan would have skipped, so the shard is replayed eagerly
+        and the entry that line shadowed is served instead."""
+        value = state.index.get(key)
+        if type(value) is not bytes:
+            return value
+        payload = _decode_payload(value)
+        with self._lock:
+            if payload is None:
+                replay, _, _ = self._scan_shard_full(shard)
+                state.index = replay.index
+                state.source = replay.source
+                state.scanned = replay.scanned
+                return state.index.get(key)
+            # Memoise unless a refresh replaced the entry meanwhile.
+            if state.index.get(key) is value:
+                state.index[key] = payload
+        return payload
 
     # -- public API ---------------------------------------------------------
 
@@ -395,38 +480,51 @@ class ResultStore:
         """
         shard = self.shard_of(key)
         state = self._state(shard)
-        payload = state.index.get(key)
+        payload = self._read(shard, state, key)
         if payload is None:
             self._refresh(shard, state)
-            payload = state.index.get(key)
+            payload = self._read(shard, state, key)
         return payload
 
     def put(self, key: str, payload: dict) -> None:
         """Append ``key -> payload`` durably (flushed, atomic line)."""
         shard = self.shard_of(key)
         state = self._state(shard)
-        handle = self._writer(shard, state)
-        handle.write(_encode_entry(key, payload))
-        handle.flush()
-        # Our own appends go straight into the index; advance the scan
-        # offset so refreshes never re-parse them.  (Read-your-writes:
-        # the local index always reflects this put, even in the exotic
-        # case where a higher-ranked foreign segment holds the key --
-        # a later refresh of that segment would win, exactly as a
-        # fresh replay would.)
-        state.scanned[state.writer_path] = handle.tell()
-        state.index[key] = payload
-        state.source[key] = state.writer_rank
+        with self._lock:
+            handle = self._writer(shard, state)
+            handle.write(_encode_entry(key, payload))
+            handle.flush()
+            # Our own appends go straight into the index; advance the
+            # scan offset so refreshes never re-parse them.
+            # (Read-your-writes: the local index always reflects this
+            # put, even in the exotic case where a higher-ranked
+            # foreign segment holds the key -- a later refresh of that
+            # segment would win, exactly as a fresh replay would.)
+            state.scanned[state.writer_path] = handle.tell()
+            state.index[key] = payload
+            state.source[key] = state.writer_rank
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
-    def keys(self) -> Iterator[str]:
-        """All live keys (forces a full scan)."""
+    def items(self) -> Iterator[Tuple[str, dict]]:
+        """Every live ``(key, payload)`` pair, shard by shard (forces a
+        full scan, and decodes every payload)."""
         for shard in range(self.shards):
             state = self._state(shard)
             self._refresh(shard, state)
-            yield from state.index
+            # A replay forced by a corrupt raw winner only drops keys
+            # this snapshot holds (or adds ones appended since, which a
+            # later call sees), so the snapshot covers the shard.
+            for key in list(state.index):
+                payload = self._read(shard, state, key)
+                if payload is not None:
+                    yield key, payload
+
+    def keys(self) -> Iterator[str]:
+        """All live keys (forces a full scan)."""
+        for key, _payload in self.items():
+            yield key
 
     def close(self) -> None:
         for state in self._states.values():
@@ -555,20 +653,26 @@ class ResultStore:
     # -- maintenance --------------------------------------------------------
 
     def _scan_shard_full(self, shard: int):
-        """Fresh full replay of one shard, independent of the index.
+        """Fresh full eager replay of one shard, independent of the index.
 
-        Returns ``({key: payload}, {key: {encoded variants}},
-        per-shard counters)``.  Used by stats/verify/compact so they
-        report the on-disk truth even if this instance's incremental
-        index is stale or this process wrote nothing.
+        Returns ``(state, {key: {encoded variants}}, per-shard
+        counters)``: ``state`` holds the replayed index (every payload
+        decoded), source ranks and scan offsets, so a corrupt lazy
+        winner can be repaired from it.  Variants are kept only for
+        keys written more than once; a key written once cannot
+        conflict.  Used by stats/verify/compact so they report the
+        on-disk truth even if this instance's incremental index is
+        stale or this process wrote nothing.
         """
         directory = self._shard_dir(shard)
-        live: Dict[str, dict] = {}
+        replay = _ShardState()
+        live = replay.index
         payload_variants: Dict[str, set] = {}
         entries = corrupt = torn = size_total = 0
         segments = self._shard_segments(shard)
         for name in segments:
             path = os.path.join(directory, name)
+            rank = _segment_sort_key(name)
             try:
                 with open(path, "rb") as handle:
                     data = handle.read()
@@ -578,6 +682,7 @@ class ResultStore:
             complete = data.rfind(b"\n") + 1
             if complete != len(data):
                 torn += 1
+            replay.scanned[path] = complete
             for line in data[:complete].splitlines():
                 if not line.strip():
                     continue
@@ -587,11 +692,13 @@ class ResultStore:
                     continue
                 key, payload = decoded
                 entries += 1
+                if key in live:
+                    payload_variants.setdefault(
+                        key, {_encode_entry(key, live[key])}
+                    ).add(_encode_entry(key, payload))
                 live[key] = payload
-                payload_variants.setdefault(key, set()).add(
-                    _encode_entry(key, payload)
-                )
-        return live, payload_variants, {
+                replay.source[key] = rank
+        return replay, payload_variants, {
             "segments": len(segments), "entries": entries,
             "corrupt": corrupt, "torn": torn, "bytes": size_total,
         }
@@ -613,8 +720,8 @@ class ResultStore:
         live_keys = 0
         conflicts: Dict[str, int] = {}
         for shard in range(self.shards):
-            live, variants, counts = self._scan_shard_full(shard)
-            live_keys += len(live)
+            replay, variants, counts = self._scan_shard_full(shard)
+            live_keys += len(replay.index)
             for name in totals:
                 totals[name] += counts[name]
             for key, payloads in variants.items():
@@ -648,7 +755,8 @@ class ResultStore:
             segments = self._shard_segments(shard)
             if not segments:
                 continue
-            live, _, counts = self._scan_shard_full(shard)
+            replay, _, counts = self._scan_shard_full(shard)
+            live = replay.index
             segments_before += counts["segments"]
             bytes_before += counts["bytes"]
             dead = (counts["entries"] - len(live)) + counts["corrupt"]

@@ -2,10 +2,12 @@
 
 import json
 import os
+import threading
 
 import pytest
 
 from repro.store import ResultStore, StoreError, legacy_entry_name
+from repro.store import result_store
 from repro.store.result_store import FORMAT_FILE
 
 
@@ -123,12 +125,14 @@ class TestInjectiveNaming:
 
     def test_hostile_key_characters_round_trip(self, tmp_path):
         # Keys are data, not filenames: newlines, separators and very
-        # long paths must all round-trip.
+        # long paths must all round-trip.  The escaped keys take the
+        # index's eager path on reopen, the plain long one the lazy.
         keys = [
             "with\nnewline__BL__c__0__k1",
             "with\ttab__BL__c__0__k1",
             ("x" * 500) + "__BL__c__0__k1",
             'quote"and\\backslash__BL__c__0__k1',
+            "caf\u00e9-\u5de5\u4f5c__BL__c__0__k1",
         ]
         store = ResultStore(str(tmp_path))
         for index, key in enumerate(keys):
@@ -325,3 +329,108 @@ class TestCrashConsistency:
         clean.put("k", {"v": 1})
         clean.put("k", {"v": 1})
         assert clean.verify().ok
+
+
+class TestLazyIndex:
+    """The index keeps canonically framed payloads as raw bytes and
+    decodes one only when it is read."""
+
+    def test_corrupt_framed_winner_does_not_shadow_good_entry(
+            self, tmp_path):
+        low = ResultStore(str(tmp_path), shards=1)
+        high = ResultStore(str(tmp_path), shards=1)
+        low.put("k", {"v": "good"})              # seg-1
+        low.put("w", {"v": "low"})
+        high.put("w", {"v": "high"})             # seg-2 outranks seg-1
+        segment = high._states[0].writer_path
+        with open(segment, "ab") as handle:
+            # Framed as _encode_entry writes it, so the scan indexes it
+            # without parsing, and it outranks the good entry for "k".
+            handle.write(b'{"k": "k", "r": {"v": "torn", oops}}\n')
+        reader = ResultStore(str(tmp_path), shards=1)
+        assert reader.get("k") == {"v": "good"}
+        assert reader.get("w") == {"v": "high"}
+        report = reader.verify()
+        assert report.stats.corrupt_lines == 1
+        assert not report.ok
+        # The replay rebuilt ranks too: a late write from the
+        # lower-ranked writer does not displace the higher one's entry.
+        low.put("w", {"v": "low-late"})
+        reader.get("missing")                    # force a delta refresh
+        assert reader.get("w") == {"v": "high"}
+        assert ResultStore(str(tmp_path), shards=1).get("w") == \
+            {"v": "high"}
+        assert sorted(reader.keys()) == ["k", "w"]
+
+    def test_one_get_decodes_one_payload(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path), shards=1)
+        for index in range(20):
+            store.put(f"key-{index}", {"v": index})
+        store.close()
+        decoded = []
+
+        def counting(decoder):
+            def wrapper(data):
+                decoded.append(data)
+                return decoder(data)
+            return wrapper
+
+        monkeypatch.setattr(result_store, "_decode_payload",
+                            counting(result_store._decode_payload))
+        monkeypatch.setattr(result_store, "_decode_entry",
+                            counting(result_store._decode_entry))
+        fresh = ResultStore(str(tmp_path), shards=1)
+        assert fresh.get("key-7") == {"v": 7}
+        assert len(decoded) == 1
+        assert fresh.get("key-7") == {"v": 7}    # memoised
+        assert len(decoded) == 1
+
+    def test_carriage_return_chunk_splits_like_an_eager_scan(self, tmp_path):
+        store = ResultStore(str(tmp_path), shards=1)
+        store.put("k1", {"v": 1})
+        segment = store._states[0].writer_path
+        with open(segment, "ab") as handle:
+            handle.write(b'{"k": "k2", "r": {"v": 2}}\r'
+                         b'{"k": "k3", "r": {"v": 3}}\n')
+        fresh = ResultStore(str(tmp_path), shards=1)
+        # k3 first: read as one framed line, k2's would hide it.
+        assert fresh.get("k3") == {"v": 3}
+        assert fresh.get("k2") == {"v": 2}
+        assert fresh.get("k1") == {"v": 1}
+        assert fresh.verify().ok
+
+    def test_items_yields_every_live_pair_once(self, tmp_path):
+        store = ResultStore(str(tmp_path), shards=4)
+        for index in range(30):
+            store.put(f"key-{index}", {"v": index})
+        store.put("key-3", {"v": "rewritten"})
+        store.close()
+        pairs = dict(ResultStore(str(tmp_path)).items())
+        expected = {f"key-{index}": {"v": index} for index in range(30)}
+        expected["key-3"] = {"v": "rewritten"}
+        assert pairs == expected
+
+    def test_threads_reading_a_fresh_instance_agree(self, tmp_path):
+        writer = ResultStore(str(tmp_path), shards=4)
+        keys = [f"key-{index}" for index in range(40)]
+        for index, key in enumerate(keys):
+            writer.put(key, {"v": index, "tag": "x" * index})
+        writer.close()
+        fresh = ResultStore(str(tmp_path), shards=4)
+        threads_n = 8
+        barrier = threading.Barrier(threads_n)
+        seen = [None] * threads_n
+
+        def read(slot):
+            barrier.wait()
+            seen[slot] = [fresh.get(key) for key in keys]
+
+        threads = [threading.Thread(target=read, args=(slot,))
+                   for slot in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = [{"v": index, "tag": "x" * index}
+                    for index in range(len(keys))]
+        assert all(view == expected for view in seen)

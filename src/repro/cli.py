@@ -54,7 +54,6 @@ from repro.arch.registry import (
     default_arch_registry,
     is_arch_file_name,
 )
-from repro.arch.sm import ENGINES
 from repro.compiler import compile_kernel
 from repro.experiments import (
     Runner,
@@ -129,29 +128,6 @@ def _add_workload_argument(command) -> None:
     )
 
 
-def _add_engine_argument(command) -> None:
-    """``--engine`` shared by the simulating subcommands.
-
-    Selection flows through ``LTRF_SIM_ENGINE`` (set before any pool
-    is created, so forked batch workers inherit it) rather than
-    per-call plumbing: every simulation of the invocation -- including
-    the replay engine's internal event-engine anchors and fallbacks --
-    then resolves the same engine.
-    """
-    command.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="simulation engine: event (default), dense (reference "
-             "tick loop), or replay (latency-sweep fast path; "
-             "bit-identical results, non-separable points fall back "
-             "to event)",
-    )
-
-
-def _apply_engine(engine: Optional[str]) -> None:
-    if engine is not None:
-        os.environ["LTRF_SIM_ENGINE"] = engine
-
-
 def _add_backend_arguments(command) -> None:
     """``--backend``/``--hosts`` shared by the grid-running
     subcommands (sweep, experiment).
@@ -213,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="override the MRF latency multiple")
     simulate.add_argument("--sms", type=int, default=1,
                           help="also report chip-level IPC over N SMs")
-    _add_engine_argument(simulate)
 
     compile_cmd = sub.add_parser("compile", help="show prefetch regions")
     compile_cmd.add_argument(
@@ -263,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="architecture to sweep (latency-tolerance figures only): "
              "registry name or .arch.json path",
     )
-    _add_engine_argument(experiment)
     _add_backend_arguments(experiment)
 
     sweep = sub.add_parser("sweep", help="latency-tolerance sweep")
@@ -275,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "names and/or .arch.json paths")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep grid")
-    _add_engine_argument(sweep)
     _add_backend_arguments(sweep)
 
     serve = sub.add_parser(
@@ -297,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--job-workers", type=int, default=2, metavar="N",
         help="sweep jobs executing concurrently (default: 2)",
     )
-    _add_engine_argument(serve)
     _add_backend_arguments(serve)
 
     worker = sub.add_parser(
@@ -530,7 +502,6 @@ def _select_arch(args) -> str:
 
 
 def _cmd_simulate(args) -> None:
-    _apply_engine(args.engine)
     workload = _resolve_workload(args.workload, args.kernel_file)
     # The default architecture is the same 272KB normalisation baseline
     # the experiments use (MRF + the 16KB RFC budget), so printed IPC
@@ -582,10 +553,8 @@ def _cmd_compile(args) -> None:
 
 def _cmd_experiment(names: List[str], jobs: int,
                     arch: Optional[str] = None,
-                    engine: Optional[str] = None,
                     backend: str = "local",
                     hosts: Optional[str] = None) -> None:
-    _apply_engine(engine)
     selected = sorted(EXPERIMENTS) if "all" in names else names
     if arch is not None:
         unsupported = [name for name in selected if name not in ARCH_AWARE]
@@ -612,7 +581,6 @@ def _cmd_experiment(names: List[str], jobs: int,
 
 
 def _cmd_sweep(args) -> None:
-    _apply_engine(args.engine)
     workload = _resolve_workload(args.workload, args.kernel_file)
     archs = [name.strip() for name in args.arch.split(",")]
     for arch in archs:
@@ -641,7 +609,6 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_serve(args) -> None:
     """Run the HTTP sweep service over one store until signalled."""
-    _apply_engine(args.engine)
     root = _store_root(args)
     # Initialise the store eagerly (and fail cleanly on a bad root) so
     # /results and /report work from the first request.
@@ -896,7 +863,7 @@ def main(argv: List[str] = None) -> int:
         elif args.command == "list-archs":
             _cmd_list_archs()
         elif args.command == "experiment":
-            _cmd_experiment(args.names, args.jobs, args.arch, args.engine,
+            _cmd_experiment(args.names, args.jobs, args.arch,
                             args.backend, args.hosts)
         elif args.command == "sweep":
             _cmd_sweep(args)

@@ -125,9 +125,12 @@ def execute_plan(runner: Runner, plan: JobPlan,
     owner passes just the subset it claimed.  With ``jobs > 1`` misses
     fan out over the runner's launcher backend; otherwise they run
     serially in-process.  Either way each point is probed against the
-    store first (counter-free), so a point some concurrent writer
-    completed between plan and execute is served, not re-simulated --
-    the store is the dedup substrate across processes and jobs.
+    store first, so a point some concurrent writer completed between
+    plan and execute is served, not re-simulated -- the store is the
+    dedup substrate across processes and jobs.  On the serial path
+    such a record can only be another job's or process's (this sweep
+    has no worker that could have died mid-point), so it counts as a
+    store hit, never as a simulation.
     """
     if pending is None:
         pending = plan.pending
@@ -148,9 +151,9 @@ def execute_plan(runner: Runner, plan: JobPlan,
                 f"sweep aborted after {done} of {len(items)} pending "
                 "point(s); completed records are flushed"
             )
-        flushed = runner._probe_flushed(key)
-        if flushed is not None:
-            runner._absorb(key, flushed, None, True, plan.results)
+        stored = runner.lookup(key)
+        if stored is not None:
+            plan.results[key] = stored
         else:
             record, telemetry = execute_request_with_telemetry(request)
             runner._absorb(key, record, telemetry, False, plan.results)

@@ -116,6 +116,31 @@ class TestBuildReport:
         paths = write_report(report, str(tmp_path / "out"))
         assert "old-format run" in open(paths["report.html"]).read()
 
+    def test_run_logs_with_replay_counters_still_render(self, tmp_path):
+        """Run logs written while the simulator still had a replay
+        engine carry its four outcome counters (and job specs an
+        ``engine`` field); the report ignores them and renders no
+        replay rows."""
+        runner = sweep_runner(tmp_path)
+        entry = {
+            "label": "replay-era run", "time": 1700000000,
+            "simulations": 3, "cache_hits": 1, "host_seconds": 0.25,
+            "spec": {"workloads": ["btree"], "engine": None},
+        }
+        # The four counters, exactly as those run logs named them.
+        entry.update({f"replays_{kind}": 1
+                      for kind in ("served", "recorded")})
+        entry.update({f"replay_fallbacks_{kind}": 1
+                      for kind in ("static", "diverged")})
+        runner.result_store.append_run_log(entry)
+        report = build_report(runner.results())
+        assert report.telemetry["simulations"] == 4 + 3
+        assert not any("replay" in name for name in report.telemetry)
+        paths = write_report(report, str(tmp_path / "out"))
+        html = open(paths["report.html"]).read()
+        assert "replay-era run" in html
+        assert "replay:" not in html
+
     def test_bench_trajectory(self, tmp_path):
         write_bench(tmp_path / "BENCH_1.json", {"bench::a": 1.5})
         write_bench(tmp_path / "BENCH_2.json",

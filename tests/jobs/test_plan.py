@@ -7,6 +7,7 @@ import pytest
 
 from repro.arch import GPUConfig
 from repro.experiments import Runner, SimRequest
+from repro.experiments.runner import execute_request_with_telemetry
 from repro.jobs.plan import execute_plan, plan_requests
 from repro.launchers import SweepAborted
 
@@ -93,12 +94,29 @@ class TestStoreRace:
         )
         execute_plan(runner, plan)
         assert plan.merge() == [expected]
-        # The store read is charged as a (telemetry-free) simulation,
-        # not a cache hit: at plan time the key was a verified miss, so
-        # this is the dead-worker/concurrent-flush accounting the
-        # parallel scheduler has always used.
-        assert runner.stats.simulated == 1
         assert runner.stats.host_seconds == 0.0
+
+    def test_cross_job_flush_counts_as_store_hit(self, tmp_path):
+        """On the serial path a record that appears between plan and
+        execute was written by another job or process, never by a dead
+        worker of this sweep: it is a store hit, not a simulation, so
+        run logs summed across concurrent jobs count each point once."""
+        store = str(tmp_path)
+        runner = Runner(cache_dir=store)
+        request = SimRequest("btree", "BL", SMALL)
+        plan = plan_requests(runner, [request])
+        (key,) = plan.pending
+
+        record = execute_request_with_telemetry(request)[0]
+        Runner(cache_dir=store).result_store.put(key, asdict(record))
+
+        execute_plan(runner, plan)
+        assert plan.merge() == [record]
+        assert runner.stats.simulated == 0
+        assert runner.stats.disk_hits == 1
+        entry = runner.log_run("cross-job flush")
+        assert entry["simulations"] == 0
+        assert entry["cache_hits"] == 1
 
 
 class TestCancellation:

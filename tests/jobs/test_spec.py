@@ -20,6 +20,14 @@ class TestFromDict:
         with pytest.raises(JobSpecError, match="polices"):
             JobSpec.from_dict({"workloads": "btree", "polices": ["BL"]})
 
+    def test_engine_is_an_unknown_key(self):
+        # Jobs always simulate on the event engine; a spec naming one
+        # is refused like any other unknown key, not silently ignored.
+        with pytest.raises(JobSpecError,
+                           match="unknown job spec key.*engine"):
+            JobSpec.from_dict({"workloads": "btree",
+                               "engine": "warp-drive"})
+
     def test_workloads_required(self):
         with pytest.raises(JobSpecError, match="workloads"):
             JobSpec.from_dict({"policies": ["BL"]})
@@ -45,9 +53,8 @@ class TestFromDict:
     def test_roundtrips_through_to_dict(self):
         spec = JobSpec.from_dict({
             "workloads": ["btree", "kmeans"], "policies": ["BL", "LTRF"],
-            "grid": [1.0, 3.0], "seed": 7, "engine": "dense",
-            "backend": "local", "jobs": 2, "overrides": SMALL,
-            "label": "round trip",
+            "grid": [1.0, 3.0], "seed": 7, "backend": "local", "jobs": 2,
+            "overrides": SMALL, "label": "round trip",
         })
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
@@ -60,7 +67,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("field, value, match", [
         ("policies", ("NOPE",), "unknown policy"),
-        ("engine", "warp-drive", "unknown engine"),
+        ("seed", True, "seed must be an integer"),
         ("backend", "carrier-pigeon", "unknown backend"),
         ("workloads", ("btreee",), "btree"),
         ("archs", ("pascal-ish",), "pascal-ish"),

@@ -1,6 +1,5 @@
 """Tests for the job tracker: lifecycle, single-flight, cancellation."""
 
-import os
 import threading
 
 import pytest
@@ -139,13 +138,6 @@ class TestLifecycle:
         job = tracker.run(fast_spec())
         assert job.state == "failed"
         assert "RuntimeError: store on fire" in job.error
-
-    def test_engine_pin_is_restored(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("LTRF_SIM_ENGINE", raising=False)
-        tracker = JobTracker(str(tmp_path))
-        job = tracker.run(fast_spec(engine="dense"))
-        assert job.state == "done"
-        assert "LTRF_SIM_ENGINE" not in os.environ
 
 
 class TestCancellation:

@@ -85,8 +85,8 @@ class Job:
         self.resume_hint = ""
         #: total: requests in the grid; unique: after dedup; hits:
         #: served from the store at plan time; executed: misses this
-        #: job simulated (or absorbed from a concurrent flush);
-        #: waited: misses served by another in-flight job's flush.
+        #: job simulated; waited: misses served by another job's
+        #: flush (awaited in flight, or found once claimed).
         self.progress: Dict[str, int] = {
             "total": 0, "unique": 0, "hits": 0, "executed": 0,
             "waited": 0,
@@ -328,8 +328,10 @@ class JobTracker:
         def should_abort() -> bool:
             return job.cancelled()
 
+        count_point = self._point_counter(job, runner)
+
         def on_point(key: str) -> None:
-            job.progress["executed"] += 1
+            count_point(key)
             self._flights.release(key, job.id)
 
         owned, followed = self._flights.claim(list(plan.pending), job.id)
@@ -382,15 +384,30 @@ class JobTracker:
                 try:
                     execute_plan(
                         runner, plan, pending={key: request},
-                        on_point=lambda done_key: job.progress.__setitem__(
-                            "executed", job.progress["executed"] + 1
-                        ),
+                        on_point=self._point_counter(job, runner),
                         should_abort=should_abort,
                     )
                 finally:
                     self._flights.release(key, job.id)
                 return
             # Somebody else claimed it in the gap: wait again.
+
+    @staticmethod
+    def _point_counter(job: Job, runner: Runner) -> Callable[[str], None]:
+        """An ``on_point`` that files each resolved point under
+        ``executed`` when this job simulated it, else under ``waited``:
+        ``execute_plan`` also resolves a plan-time miss that another
+        job flushed before this one claimed it, and reads that record
+        back from the store."""
+        simulated = runner.stats.simulated
+
+        def count(_key: str) -> None:
+            nonlocal simulated
+            now = runner.stats.simulated
+            job.progress["executed" if now > simulated else "waited"] += 1
+            simulated = now
+
+        return count
 
     def _render_table(self, runner: Runner, spec: JobSpec) -> str:
         """The job's sweep table, rendered from warm cache lookups.

@@ -22,6 +22,17 @@ the pre-arch-fingerprint legacy format (a bare config hash in place of
 the ``a<fp>`` segment) decode, and a key that matches neither still
 yields a row (fingerprints empty, identity recovered from the payload
 where possible) so maintenance tooling sees *every* record.
+
+``where()``'s identity constraints are pushed below the payload
+decode.  ``workload``, ``policy``, ``arch_fingerprint``,
+``kernel_fingerprint``, ``seed``, ``key_in`` and the latency band
+depend only on the key (the band through the arch manifest), so
+:meth:`Query.records` splits each key once, rejects a parseable key
+that fails them without reading its payload, and decodes only the
+survivors.  A key that parses as neither format still decodes (unless
+``key_in`` leaves it out), and is then held to the same constraints on
+its payload-derived identity.  ``schema_ok`` and :meth:`Query.filter`
+predicates need the payload and run on the built :class:`StoredRecord`.
 """
 
 from __future__ import annotations
@@ -65,8 +76,17 @@ class ParsedKey:
     kernel_fingerprint: str
 
 
-def parse_key(key: str) -> Optional[ParsedKey]:
-    """Decode a cache key, or ``None`` if it matches neither format.
+#: A key's identity as a plain tuple, in :class:`ParsedKey` (and
+#: :class:`StoredRecord`) field order: workload, policy, arch
+#: fingerprint, config fingerprint, seed, kernel fingerprint.
+_Identity = Tuple[str, str, str, str, int, str]
+
+_WORKLOAD, _POLICY, _ARCH_FP, _CONFIG_FP, _SEED, _KERNEL_FP = range(6)
+
+
+def _split_key(key: str) -> Optional[_Identity]:
+    """The identity a cache key encodes, or ``None`` if it matches
+    neither format.
 
     Parsed right to left (kernel fingerprint, seed, arch segment,
     policy) because only the workload may itself contain ``__`` -- a
@@ -86,11 +106,16 @@ def parse_key(key: str) -> Optional[ParsedKey]:
     except ValueError:
         return None
     if arch_token.startswith("a") and _is_hex(arch_token[1:]):
-        return ParsedKey(workload, policy, arch_token[1:], "", seed,
-                         kernel_fp)
+        return workload, policy, arch_token[1:], "", seed, kernel_fp
     if _is_hex(arch_token):
-        return ParsedKey(workload, policy, "", arch_token, seed, kernel_fp)
+        return workload, policy, "", arch_token, seed, kernel_fp
     return None
+
+
+def parse_key(key: str) -> Optional[ParsedKey]:
+    """Decode a cache key, or ``None`` if it matches neither format."""
+    identity = _split_key(key)
+    return None if identity is None else ParsedKey(*identity)
 
 
 @dataclass(frozen=True)
@@ -162,6 +187,56 @@ def _decode_latency(arch_payload: Optional[dict]) -> Optional[float]:
         return None
 
 
+@dataclass(frozen=True)
+class _Constraints:
+    """The ``where()`` constraints accumulated by one query.
+
+    Every field holds one entry per ``where()`` call that set it, so
+    chained calls intersect exactly as chained filters would.  All but
+    ``schema_ok`` are checked on a key's identity, before its payload
+    is read.
+    """
+
+    #: ``(identity slot, required value)`` equality pairs.
+    equal: Tuple[Tuple[int, Any], ...] = ()
+    key_sets: Tuple[frozenset, ...] = ()
+    #: ``(min, max)`` latency bounds; ``None`` leaves a side open.
+    latency_bands: Tuple[Tuple[Optional[float], Optional[float]], ...] = ()
+    schema_ok: Tuple[bool, ...] = ()
+
+    def admits(self, key: str, identity: _Identity,
+               latency: Optional[float]) -> bool:
+        """Whether a record with this key, identity and resolved
+        latency passes every payload-independent constraint.  A
+        latency band never admits an unknown latency (unknown is not
+        "within range")."""
+        for slot, value in self.equal:
+            if identity[slot] != value:
+                return False
+        if not self.admits_key(key):
+            return False
+        for low, high in self.latency_bands:
+            if latency is None or not (
+                (low is None or latency >= low)
+                and (high is None or latency <= high)
+            ):
+                return False
+        return True
+
+    def admits_key(self, key: str) -> bool:
+        """Whether ``key`` is in every ``key_in`` set -- decidable for
+        any key, parseable or not."""
+        return all(key in keys for keys in self.key_sets)
+
+    def merged(self, other: "_Constraints") -> "_Constraints":
+        return _Constraints(
+            self.equal + other.equal,
+            self.key_sets + other.key_sets,
+            self.latency_bands + other.latency_bands,
+            self.schema_ok + other.schema_ok,
+        )
+
+
 # -- aggregation functions ----------------------------------------------------
 
 def _geomean(values: Sequence[float]) -> float:
@@ -193,9 +268,16 @@ class Query:
 
     def __init__(self, store: ResultStore,
                  _predicates: Tuple[Callable[[StoredRecord], bool], ...]
-                 = ()) -> None:
+                 = (),
+                 _constraints: _Constraints = _Constraints(),
+                 _identities: Optional[Dict[str, Optional[_Identity]]]
+                 = None) -> None:
         self._store = store
         self._predicates = _predicates
+        self._constraints = _constraints
+        #: key -> split identity, shared by every query derived from
+        #: this one (a key's split never changes).
+        self._identities = {} if _identities is None else _identities
 
     @classmethod
     def open(cls, root: str, create: bool = False) -> "Query":
@@ -214,8 +296,13 @@ class Query:
     # -- filters ------------------------------------------------------------
 
     def filter(self, predicate: Callable[[StoredRecord], bool]) -> "Query":
-        """A new query with ``predicate`` added to the filter chain."""
-        return Query(self._store, self._predicates + (predicate,))
+        """A new query with ``predicate`` added to the filter chain.
+
+        Predicates see the built record, so every matching key's
+        payload is decoded; prefer :meth:`where` for key dimensions.
+        """
+        return Query(self._store, self._predicates + (predicate,),
+                     self._constraints, self._identities)
 
     def where(self, workload: Optional[str] = None,
               policy: Optional[str] = None,
@@ -232,38 +319,26 @@ class Query:
         multiple; records whose architecture the manifest does not know
         never match a latency bound (unknown is not "within range").
         ``key_in`` restricts to an explicit key set -- how the service
-        scopes ``GET /report/<job>`` to exactly one job's grid.
+        scopes ``GET /report/<job>`` to exactly one job's grid.  Every
+        constraint but ``schema_ok`` is decided on the key, before the
+        payload is decoded.
         """
-        checks: List[Callable[[StoredRecord], bool]] = []
-        if key_in is not None:
-            wanted = frozenset(key_in)
-            checks.append(lambda r: r.key in wanted)
-        if workload is not None:
-            checks.append(lambda r: r.workload == workload)
-        if policy is not None:
-            checks.append(lambda r: r.policy == policy)
-        if arch_fingerprint is not None:
-            checks.append(lambda r: r.arch_fingerprint == arch_fingerprint)
-        if kernel_fingerprint is not None:
-            checks.append(
-                lambda r: r.kernel_fingerprint == kernel_fingerprint
-            )
-        if seed is not None:
-            checks.append(lambda r: r.seed == seed)
-        if schema_ok is not None:
-            checks.append(lambda r: r.schema_ok == schema_ok)
-        if min_latency is not None:
-            checks.append(
-                lambda r: r.latency is not None and r.latency >= min_latency
-            )
-        if max_latency is not None:
-            checks.append(
-                lambda r: r.latency is not None and r.latency <= max_latency
-            )
-        query = self
-        for check in checks:
-            query = query.filter(check)
-        return query
+        equal = tuple(
+            (slot, value) for slot, value in (
+                (_WORKLOAD, workload), (_POLICY, policy),
+                (_ARCH_FP, arch_fingerprint),
+                (_KERNEL_FP, kernel_fingerprint), (_SEED, seed),
+            ) if value is not None
+        )
+        added = _Constraints(
+            equal=equal,
+            key_sets=() if key_in is None else (frozenset(key_in),),
+            latency_bands=() if min_latency is None and max_latency is None
+            else ((min_latency, max_latency),),
+            schema_ok=() if schema_ok is None else (schema_ok,),
+        )
+        return Query(self._store, self._predicates,
+                     self._constraints.merged(added), self._identities)
 
     # -- terminal reads -----------------------------------------------------
 
@@ -271,34 +346,48 @@ class Query:
         """Every live record passing the filter chain, sorted by key
         (deterministic regardless of segment/shard layout)."""
         schema_fields = _current_schema_fields()
-        latency_cache: Dict[str, Optional[float]] = {}
+        constraints = self._constraints
+        identities = self._identities
+        latencies: Dict[str, Optional[float]] = {"": None}
+
+        def latency_of(arch_fp: str) -> Optional[float]:
+            if arch_fp not in latencies:
+                latencies[arch_fp] = _decode_latency(
+                    self._store.arch_payload(arch_fp))
+            return latencies[arch_fp]
+
+        def admit_key(key: str) -> bool:
+            if key not in identities:
+                identities[key] = _split_key(key)
+            identity = identities[key]
+            if identity is None:
+                # Its workload and policy are in the payload.
+                return constraints.admits_key(key)
+            return constraints.admits(
+                key, identity, latency_of(identity[_ARCH_FP])
+                if constraints.latency_bands else None)
+
         rows = []
-        for key, payload in self._store.items():
-            parsed = parse_key(key)
-            if parsed is not None:
-                workload, policy = parsed.workload, parsed.policy
-                arch_fp = parsed.arch_fingerprint
-                config_fp = parsed.config_fingerprint
-                seed, kernel_fp = parsed.seed, parsed.kernel_fingerprint
-            else:
-                workload = str(payload.get("workload", ""))
-                policy = str(payload.get("policy", ""))
-                arch_fp = config_fp = kernel_fp = ""
-                seed = 0
-            if arch_fp not in latency_cache:
-                latency_cache[arch_fp] = _decode_latency(
-                    self._store.arch_payload(arch_fp)
-                ) if arch_fp else None
+        for key, payload in self._store.items(admit_key):
+            identity = identities[key]
+            key_ok = identity is not None
+            if not key_ok:
+                identity = (str(payload.get("workload", "")),
+                            str(payload.get("policy", "")), "", "", 0, "")
+                if not constraints.admits(key, identity, None):
+                    continue
+            # The identity tuple is in StoredRecord's field order.
             record = StoredRecord(
-                key=key, workload=workload, policy=policy,
-                arch_fingerprint=arch_fp, config_fingerprint=config_fp,
-                seed=seed, kernel_fingerprint=kernel_fp,
+                key, *identity,
                 payload=payload,
                 schema_ok=frozenset(payload) == schema_fields,
-                latency=latency_cache[arch_fp],
-                key_ok=parsed is not None,
+                latency=latency_of(identity[_ARCH_FP]),
+                key_ok=key_ok,
             )
-            if all(predicate(record) for predicate in self._predicates):
+            if all(record.schema_ok == wanted
+                   for wanted in constraints.schema_ok) \
+                    and all(predicate(record)
+                            for predicate in self._predicates):
                 rows.append(record)
         rows.sort(key=lambda r: r.key)
         return rows

@@ -46,12 +46,20 @@ printable-ASCII key text holding no quote or backslash -- is indexed
 by one regular-expression pass over the scanned bytes as key -> raw
 payload bytes, and its payload is parsed only when ``get`` first reads
 it, then memoised.  Every other line (escaped or non-ASCII keys,
-foreign framing, damage) is decoded eagerly during the scan, as
-before.  So opening a shard to serve a handful of keys costs one
-regex pass, not one ``json.loads`` per record.  If a lazily indexed
-winner turns out to be corrupt, the shard's index is rebuilt from a
-full eager replay, so the entry that line shadowed is served exactly
-as an eager scan would serve it.
+foreign framing, damage) is decoded eagerly during the scan.  So
+opening a shard to serve a handful of keys costs one regex pass, not
+one ``json.loads`` per record.  If a lazily indexed winner turns out
+to be corrupt, the shard's index is rebuilt from a full replay that
+decodes every payload, so the entry that line shadowed is served
+exactly as a line-by-line replay would serve it.
+
+The full scan behind ``stats``, ``verify``, ``compact`` and that
+fallback replay shares the index's line splitter: it decodes each
+framed payload on its own and every other line whole.  A framed line
+whose payload does not decode is re-checked whole with
+:func:`_decode_entry`, so it counts (as an entry, under whatever key
+the whole line carries, or as corrupt) exactly as a line-by-line
+``json.loads`` replay would count it.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.util import atomic_write_text
 
@@ -212,13 +220,28 @@ def _decode_entry(line: bytes) -> Optional[Tuple[str, dict]]:
     return key, payload
 
 
+_PAYLOAD_DECODER = json.JSONDecoder()
+
+
 def _decode_payload(raw: bytes) -> Optional[dict]:
     """Parse a lazily indexed payload; ``None`` if it is not a JSON
     object (the line it came from is then corrupt).  Decoded as UTF-8,
     as ``json.loads`` decodes the whole line, so a payload parses here
-    exactly when its line parses in :func:`_decode_entry`."""
+    exactly when its line parses in :func:`_decode_entry`.
+
+    ``raw_decode`` skips ``json.loads``'s two whitespace scans; any
+    text it rejects or does not consume to the end (padding, trailing
+    garbage) goes to ``json.loads``, so the result is always exactly
+    what ``json.loads`` returns.
+    """
     try:
-        payload = json.loads(raw.decode("utf-8", "surrogatepass"))
+        text = raw.decode("utf-8", "surrogatepass")
+        try:
+            payload, end = _PAYLOAD_DECODER.raw_decode(text)
+        except ValueError:
+            end = -1
+        if end != len(text):
+            payload = json.loads(text)
     except ValueError:
         return None
     return payload if isinstance(payload, dict) else None
@@ -233,14 +256,17 @@ _SEGMENT_LINE = re.compile(
 )
 
 
-def _index_entries(data: bytes, end: int) -> Iterator[Tuple[str, object]]:
-    """``(key, payload)`` for each entry in ``data[:end]``, in order.
+def _index_entries(data: bytes,
+                   end: int) -> Iterator[Tuple[Optional[str], object]]:
+    """``(key, payload)`` for each non-blank line in ``data[:end]``, in
+    order.
 
     Canonically framed lines yield their raw payload bytes, undecoded;
-    every other line is decoded eagerly and yields a dict, or nothing
-    if it is blank or corrupt.  A chunk holding a carriage return
-    (which ``_encode_entry`` never writes, and ``bytes.splitlines``
-    treats as a line break) is decoded eagerly whole.
+    every other line is decoded eagerly and yields a dict, or
+    ``(None, None)`` if it is corrupt.  A chunk holding a carriage
+    return (which ``_encode_entry`` never writes, and
+    ``bytes.splitlines`` treats as a line break) is decoded eagerly
+    whole.
     """
     if data.find(b"\r", 0, end) >= 0:
         matches = [(b"", b"", data[:end])]
@@ -251,9 +277,8 @@ def _index_entries(data: bytes, end: int) -> Iterator[Tuple[str, object]]:
             yield key.decode("ascii"), raw
             continue
         for line in other.splitlines():
-            decoded = _decode_entry(line) if line.strip() else None
-            if decoded is not None:
-                yield decoded
+            if line.strip():
+                yield _decode_entry(line) or (None, None)
 
 
 def _segment_sort_key(name: str) -> Tuple[int, str]:
@@ -443,6 +468,8 @@ class ResultStore:
                     continue
                 complete = chunk.rfind(b"\n") + 1
                 for key, payload in _index_entries(chunk, complete):
+                    if key is None:
+                        continue
                     if rank >= state.source.get(key, (-1, "")):
                         state.index[key] = payload
                         state.source[key] = rank
@@ -451,9 +478,9 @@ class ResultStore:
     def _read(self, shard: int, state: _ShardState,
               key: str) -> Optional[dict]:
         """The indexed payload of ``key``, decoding a raw one on first
-        read.  A raw winner that fails to decode was a corrupt line the
-        eager scan would have skipped, so the shard is replayed eagerly
-        and the entry that line shadowed is served instead."""
+        read.  A raw winner that fails to decode is a line a full
+        replay skips or files under another key, so the shard is
+        replayed in full and served from that replay instead."""
         value = state.index.get(key)
         if type(value) is not bytes:
             return value
@@ -507,16 +534,21 @@ class ResultStore:
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
-    def items(self) -> Iterator[Tuple[str, dict]]:
+    def items(self, key_filter: Optional[Callable[[str], bool]] = None
+              ) -> Iterator[Tuple[str, dict]]:
         """Every live ``(key, payload)`` pair, shard by shard (forces a
-        full scan, and decodes every payload)."""
+        full scan).  With ``key_filter``, only keys it accepts are
+        read, so a rejected key's payload is never decoded."""
         for shard in range(self.shards):
             state = self._state(shard)
             self._refresh(shard, state)
             # A replay forced by a corrupt raw winner only drops keys
             # this snapshot holds (or adds ones appended since, which a
             # later call sees), so the snapshot covers the shard.
-            for key in list(state.index):
+            keys = list(state.index)
+            if key_filter is not None:
+                keys = [key for key in keys if key_filter(key)]
+            for key in keys:
                 payload = self._read(shard, state, key)
                 if payload is not None:
                     yield key, payload
@@ -653,7 +685,7 @@ class ResultStore:
     # -- maintenance --------------------------------------------------------
 
     def _scan_shard_full(self, shard: int):
-        """Fresh full eager replay of one shard, independent of the index.
+        """Fresh full replay of one shard, independent of the index.
 
         Returns ``(state, {key: {encoded variants}}, per-shard
         counters)``: ``state`` holds the replayed index (every payload
@@ -683,14 +715,20 @@ class ResultStore:
             if complete != len(data):
                 torn += 1
             replay.scanned[path] = complete
-            for line in data[:complete].splitlines():
-                if not line.strip():
-                    continue
-                decoded = _decode_entry(line)
-                if decoded is None:
+            for key, payload in _index_entries(data, complete):
+                if type(payload) is bytes:
+                    raw = payload
+                    payload = _decode_payload(raw)
+                    if payload is None:
+                        # The payload alone is not an object, but the
+                        # whole line may still be one (e.g. a repeated
+                        # top-level "k" renames its key).
+                        key, payload = _decode_entry(
+                            b'{"k": "%s", "r": %s}' % (key.encode(), raw)
+                        ) or (None, None)
+                if key is None:
                     corrupt += 1
                     continue
-                key, payload = decoded
                 entries += 1
                 if key in live:
                     payload_variants.setdefault(

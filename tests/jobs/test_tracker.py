@@ -220,6 +220,30 @@ class TestSingleFlight:
         assert executed + waited + hits == 8
         assert tracker.in_flight_keys() == 0
 
+    def test_point_flushed_between_plan_and_claim_counts_as_waited(
+            self, tmp_path, monkeypatch):
+        """Another job flushes the only point after this job planned it
+        as a miss and before it claims it: the job reads that record
+        back instead of simulating, so it is ``waited``, not
+        ``executed``, and the progress counts still sum to unique."""
+        from repro.jobs import tracker as tracker_module
+
+        spec = fast_spec(grid=(2.0,), policies=("BL",))
+        real_plan = tracker_module.plan_requests
+
+        def plan_then_other_job_flushes(runner, requests):
+            plan = real_plan(runner, requests)
+            Runner(cache_dir=str(tmp_path)).simulate_many(spec.to_requests())
+            return plan
+
+        monkeypatch.setattr(tracker_module, "plan_requests",
+                            plan_then_other_job_flushes)
+        job = JobTracker(str(tmp_path)).run(spec)
+        assert job.state == "done"
+        assert job.telemetry["simulations"] == 0
+        assert job.progress == {"total": 1, "unique": 1, "hits": 0,
+                                "executed": 0, "waited": 1}
+
     def test_follower_recovers_when_owner_aborts(self, tmp_path):
         """A follower waiting on an owner that aborts before flushing
         must claim the key itself instead of waiting forever."""

@@ -10,6 +10,7 @@ from repro.experiments import Runner
 from repro.experiments.latency_tolerance import sweep_requests
 from repro.experiments.runner import RunRecord
 from repro.store import Query, ResultStore, parse_key
+from repro.store import result_store
 
 #: Small enough to keep every simulation in this module instantaneous.
 SMALL = dict(max_resident_warps=8, active_warps=4)
@@ -205,6 +206,170 @@ class TestQuery:
         descriptions = Query(store).arch_descriptions()
         assert set(descriptions) == {fingerprint}
         assert descriptions[fingerprint]["active_warps"] == 4
+
+
+#: A second kernel fingerprint, so kernel_fingerprint filters split
+#: the population.
+OTHER_KERNEL_FP = "0000cafe0000cafe"
+#: An arch fingerprint the store's manifest does not describe.
+UNKNOWN_ARCH_FP = "00000000deadbeef"
+
+
+def _mixed_store(root):
+    """One store holding every kind of row ``where()`` must handle.
+
+    Current-format keys over two workloads, two policies, two seeds,
+    two kernels and three arch fingerprints (two in the manifest at
+    latencies 1x and 3x, one unknown); legacy-format keys; an
+    unparseable key whose payload names btree/BL; a stale-schema
+    record; and a corrupt framed line that outranks (and must not
+    shadow) a good entry.  Returns the two known fingerprints.
+    """
+    known = []
+    store = ResultStore(root, shards=1)
+    for latency in (1.0, 3.0):
+        config = GPUConfig(mrf_latency_multiple=latency, **SMALL)
+        known.append(fingerprint_of_arch(config))
+        store.record_arch(known[-1], arch_to_dict(config))
+    ipc = 0.5
+    for workload in ("btree", "kmeans"):
+        for policy in ("BL", "LTRF"):
+            for seed in (0, 1):
+                for arch_fp in known + [UNKNOWN_ARCH_FP]:
+                    kernel_fp = KERNEL_FP if seed == 0 else OTHER_KERNEL_FP
+                    ipc += 0.125
+                    store.put(
+                        f"{workload}__{policy}__a{arch_fp}__{seed}__"
+                        f"k{kernel_fp}",
+                        record_payload(workload=workload, policy=policy,
+                                       ipc=ipc),
+                    )
+            store.put(f"{workload}__{policy}__{known[0]}__0__k{KERNEL_FP}",
+                      record_payload(workload=workload, policy=policy))
+    store.put("not-a-cache-key", record_payload(workload="btree"))
+    store.put(f"btree__BL__a{known[1]}__7__k{KERNEL_FP}",
+              {"workload": "btree", "policy": "BL", "ipc": 2.0})
+    shadowed = f"kmeans__LTRF__a{known[1]}__7__k{KERNEL_FP}"
+    store.put(shadowed, record_payload(workload="kmeans", policy="LTRF"))
+    store.close()
+    higher = ResultStore(root, shards=1)
+    higher.put("unrelated", record_payload())
+    with open(higher._states[0].writer_path, "ab") as handle:
+        handle.write(b'{"k": "%s", "r": {"ipc": oops}}\n'
+                     % shadowed.encode())
+    higher.close()
+    return known
+
+
+class TestPushdown:
+    """``where()`` decides on the key before the payload is decoded;
+    the rows must be exactly what the equivalent ``filter`` chain
+    (which cannot be pushed down) returns."""
+
+    @staticmethod
+    def _cases(known):
+        low, high = known
+        some_keys = [
+            f"btree__BL__a{low}__0__k{KERNEL_FP}",
+            f"kmeans__LTRF__{low}__0__k{KERNEL_FP}",
+            f"kmeans__LTRF__a{high}__7__k{KERNEL_FP}",
+            "not-a-cache-key",
+            "no-such-key",
+        ]
+        return [
+            ("workload", [dict(workload="btree")],
+             lambda r: r.workload == "btree"),
+            ("policy", [dict(policy="LTRF")],
+             lambda r: r.policy == "LTRF"),
+            ("arch", [dict(arch_fingerprint=high)],
+             lambda r: r.arch_fingerprint == high),
+            ("kernel", [dict(kernel_fingerprint=OTHER_KERNEL_FP)],
+             lambda r: r.kernel_fingerprint == OTHER_KERNEL_FP),
+            ("seed", [dict(seed=0)], lambda r: r.seed == 0),
+            ("schema_ok", [dict(schema_ok=True)], lambda r: r.schema_ok),
+            ("stale", [dict(schema_ok=False)], lambda r: not r.schema_ok),
+            ("min_latency", [dict(min_latency=2.0)],
+             lambda r: r.latency is not None and r.latency >= 2.0),
+            ("max_latency", [dict(max_latency=1.5)],
+             lambda r: r.latency is not None and r.latency <= 1.5),
+            ("band", [dict(min_latency=1.0, max_latency=3.0)],
+             lambda r: r.latency is not None and 1.0 <= r.latency <= 3.0),
+            ("key_in", [dict(key_in=some_keys)],
+             lambda r: r.key in some_keys),
+            ("workload+policy", [dict(workload="btree", policy="BL")],
+             lambda r: r.workload == "btree" and r.policy == "BL"),
+            ("workload+seed", [dict(workload="kmeans", seed=7)],
+             lambda r: r.workload == "kmeans" and r.seed == 7),
+            ("key_in+policy", [dict(key_in=some_keys, policy="LTRF")],
+             lambda r: r.key in some_keys and r.policy == "LTRF"),
+            ("band+policy+schema_ok",
+             [dict(policy="BL", max_latency=3.0, schema_ok=True)],
+             lambda r: r.policy == "BL" and r.latency is not None
+             and r.latency <= 3.0 and r.schema_ok),
+            ("chained", [dict(workload="btree"), dict(seed=1),
+                         dict(min_latency=1.0)],
+             lambda r: r.workload == "btree" and r.seed == 1
+             and r.latency is not None and r.latency >= 1.0),
+            ("contradictory", [dict(workload="btree"),
+                               dict(workload="kmeans")],
+             lambda r: False),
+        ]
+
+    def test_where_returns_exactly_the_filter_chains_rows(self, tmp_path):
+        root = str(tmp_path)
+        known = _mixed_store(root)
+        everything = Query.open(root).records()
+        assert len(everything) == 2 * 2 * 2 * 3 + 4 + 4
+        assert not any(r.key_ok for r in everything
+                       if r.key == "not-a-cache-key")
+        for name, wheres, predicate in self._cases(known):
+            # Each side on a fresh instance: the pushed query must not
+            # lean on payloads the reference decoded.
+            pushed = Query.open(root)
+            for constraint in wheres:
+                pushed = pushed.where(**constraint)
+            rows = pushed.records()
+            expected = Query.open(root).filter(predicate).records()
+            assert rows == expected, name
+            assert expected or name == "contradictory", name
+
+    def test_only_matching_payloads_are_decoded(self, tmp_path,
+                                                monkeypatch):
+        store = ResultStore(str(tmp_path), shards=2)
+        keys = [
+            f"{workload}__{policy}__a{ARCH_FP}__{seed}__k{KERNEL_FP}"
+            for workload in ("btree", "kmeans")
+            for policy in ("BL", "LTRF")
+            for seed in range(5)
+        ]
+        for key in keys:
+            store.put(key, record_payload())
+        store.put("not-a-cache-key", record_payload(workload="btree"))
+        store.close()
+        decoded = []
+
+        def counting(decoder):
+            def wrapper(data):
+                decoded.append(data)
+                return decoder(data)
+            return wrapper
+
+        monkeypatch.setattr(result_store, "_decode_payload",
+                            counting(result_store._decode_payload))
+        monkeypatch.setattr(result_store, "_decode_entry",
+                            counting(result_store._decode_entry))
+        rows = Query.open(str(tmp_path)).where(
+            workload="kmeans", policy="BL").records()
+        assert len(rows) == 5
+        # Five matching payloads, plus the unparseable key's, which
+        # can only be filtered once decoded.
+        assert len(decoded) == 6
+
+        decoded.clear()
+        wanted = keys[3:7]
+        rows = Query.open(str(tmp_path)).where(key_in=wanted).records()
+        assert [row.key for row in rows] == sorted(wanted)
+        assert len(decoded) == len(wanted)
 
 
 class TestRunnerSurface:

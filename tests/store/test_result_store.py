@@ -434,3 +434,113 @@ class TestLazyIndex:
         expected = [{"v": index, "tag": "x" * index}
                     for index in range(len(keys))]
         assert all(view == expected for view in seen)
+
+
+def _reference_replay(root):
+    """The line-by-line replay the full scan must agree with: every
+    non-blank complete line through ``_decode_entry``, segments in
+    rank order, later entries winning."""
+    live, variants = {}, {}
+    counts = dict(segments=0, entries=0, corrupt=0, torn=0, bytes=0)
+    for shard_dir in sorted(os.listdir(root)):
+        if not shard_dir.startswith("shard-"):
+            continue
+        directory = os.path.join(root, shard_dir)
+        names = sorted(
+            (name for name in os.listdir(directory)
+             if name.startswith("seg-") and name.endswith(".jsonl")),
+            key=result_store._segment_sort_key,
+        )
+        for name in names:
+            with open(os.path.join(directory, name), "rb") as handle:
+                data = handle.read()
+            counts["segments"] += 1
+            counts["bytes"] += len(data)
+            complete = data.rfind(b"\n") + 1
+            counts["torn"] += complete != len(data)
+            for line in data[:complete].splitlines():
+                if not line.strip():
+                    continue
+                decoded = result_store._decode_entry(line)
+                if decoded is None:
+                    counts["corrupt"] += 1
+                    continue
+                key, payload = decoded
+                counts["entries"] += 1
+                variants.setdefault(key, set()).add(
+                    json.dumps(payload, sort_keys=True))
+                live[key] = payload
+    conflicts = {key: len(seen) for key, seen in variants.items()
+                 if len(seen) > 1}
+    return live, conflicts, counts
+
+
+class TestFullScan:
+    """stats/verify/compact share the index's line splitter and decode
+    framed payloads on their own; they must count exactly what a
+    line-by-line ``json.loads`` replay counts."""
+
+    def _damaged_store(self, root):
+        first = ResultStore(root, shards=1)
+        first.put("good", {"v": 1})
+        first.put("conflict", {"v": "one"})
+        first.put("same", {"v": 1})
+        first.put("same", {"v": 1})
+        with open(first._states[0].writer_path, "ab") as handle:
+            handle.write(
+                b'{"k": "padded", "r":  {"v": 2} }\n'
+                b'{"k": "trailing-space", "r": {"v": 3}   }\n'
+                b'{"k": "garbage", "r": {"v": 4} x}\n'
+                b'{"k": "list", "r": []}\n'
+                b'{"k": "number", "r": 1}\n'
+                b'{"k": "string", "r": "x"}\n'
+                b'{"k": "dup-a", "r": {"v": 5}, "k": "dup-b"}\n'
+                b'\n   \n'
+                + json.dumps({"k": 'esc"aped', "r": {"v": 6}}).encode()
+                + b"\n"
+                + json.dumps({"k": "ключ", "r": {"v": 7}},
+                             ensure_ascii=False).encode()
+                + b"\n"
+                + json.dumps({"k": "ключ-2", "r": {"v": 8}}).encode()
+                + b"\nnot json at all\n"
+            )
+        second = ResultStore(root, shards=1)        # outranks first
+        second.put("conflict", {"v": "two"})
+        with open(second._states[0].writer_path, "ab") as handle:
+            handle.write(b'{"k": "cr-1", "r": {"v": 9}}\r'
+                         b'{"k": "cr-2", "r": {"v": 10}}\r\n'
+                         b'{"k": "cr-3", "r": []}\n'
+                         b'{"k": "torn", "r": {"v"')
+        first.close()
+        second.close()
+
+    def test_stats_verify_compact_match_a_line_by_line_replay(
+            self, tmp_path):
+        root = str(tmp_path)
+        self._damaged_store(root)
+        live, conflicts, counts = _reference_replay(root)
+        # The fixture exercises what it claims to.
+        assert "dup-b" in live and "dup-a" not in live
+        assert {"padded", "trailing-space", "ключ", 'esc"aped',
+                "cr-1", "cr-2"} <= set(live)
+        assert counts["corrupt"] == 6 and counts["torn"] == 1
+        assert conflicts == {"conflict": 2}
+
+        report = ResultStore(root).verify()
+        stats = report.stats
+        assert (stats.segments, stats.entries, stats.corrupt_lines,
+                stats.torn_tails, stats.bytes) == (
+            counts["segments"], counts["entries"], counts["corrupt"],
+            counts["torn"], counts["bytes"])
+        assert stats.live_keys == len(live)
+        assert stats.superseded == counts["entries"] - len(live)
+        assert report.conflicts == conflicts
+        assert ResultStore(root).stats() == stats
+
+        compaction = ResultStore(root).compact()
+        assert compaction.segments_before == counts["segments"]
+        assert compaction.bytes_before == counts["bytes"]
+        assert compaction.entries_dropped == (
+            counts["entries"] - len(live) + counts["corrupt"])
+        assert dict(ResultStore(root).items()) == live
+        assert ResultStore(root).verify().ok

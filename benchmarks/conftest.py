@@ -4,8 +4,8 @@ Every benchmark regenerates one paper table/figure.  A session-scoped
 runner shares the on-disk simulation cache, so a warm cache makes the
 suite fast while a cold one still completes in minutes.  The reduced
 ``FAST_WORKLOADS`` subset keeps cold benchmark runs tractable; passing
-the full evaluation list reproduces the paper-scale tables (see
-EXPERIMENTS.md for full-scale results).
+the full evaluation list reproduces the paper-scale tables (run
+``scripts/run_all_experiments.py`` for the full-scale results).
 
 Set ``LTRF_BENCH_JOBS=N`` to fan each benchmark's simulation grid out
 over N worker processes on a cold cache (results are identical to the

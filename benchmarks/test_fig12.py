@@ -12,6 +12,6 @@ def test_fig12(benchmark, runner, jobs):
     summary = result.summary
     # Paper: 8-register intervals degrade markedly at high latency;
     # larger budgets flatten out (our model keeps a mild benefit at 32,
-    # see EXPERIMENTS.md).
+    # see the full-scale run of scripts/run_all_experiments.py).
     assert summary["regs8_at_7x"] < summary["regs16_at_7x"]
     assert summary["regs32_at_7x"] < summary["regs16_at_7x"] * 1.2

@@ -12,6 +12,6 @@ def test_fig13(benchmark, runner, jobs):
     summary = result.summary
     # Paper: going from 4 to 8 active warps helps on slow MRFs and the
     # returns flatten beyond 8 (our model keeps a small residual gain
-    # at 16, see EXPERIMENTS.md).
+    # at 16, see the full-scale run of scripts/run_all_experiments.py).
     assert summary["warps4_at_7x"] < summary["warps8_at_7x"]
     assert summary["warps16_at_7x"] < summary["warps8_at_7x"] * 1.1

@@ -10,7 +10,8 @@ def test_fig4(benchmark, runner, fast_workloads, jobs):
     )
     print("\n" + result.render())
     # Paper: 8-30% hit rates; SW cache close to HW cache.  Our
-    # synthetics sit slightly above the band (EXPERIMENTS.md) but far
+    # synthetics sit slightly above the band (full-scale numbers:
+    # scripts/run_all_experiments.py) but far
     # below anything that could hide a slow register file.
     assert result.summary["hw_mean"] < 0.5
     assert result.summary["hw_min"] > 0.02

@@ -13,7 +13,8 @@ def test_overheads(benchmark, runner, fast_workloads, jobs):
     # Paper: +7% (embedded bit) / +9% (explicit instruction) code size;
     # WCB ~5% of the baseline file; 4-6x fewer MRF accesses.
     # Our kernels are far smaller than real CUDA binaries, which
-    # inflates the *relative* bit-vector cost (see EXPERIMENTS.md).
+    # inflates the *relative* bit-vector cost (see the full-scale run
+    # of scripts/run_all_experiments.py).
     assert 0.02 <= summary["code_embedded_mean"] <= 0.30
     assert summary["code_explicit_mean"] > summary["code_embedded_mean"]
     assert 0.03 <= summary["wcb_share_of_256kb"] <= 0.08

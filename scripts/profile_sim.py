@@ -101,8 +101,8 @@ def main(argv=None) -> int:
     profiler.enable()
     for request in requests:
         _, telemetry = execute_request_with_telemetry(request)
-        runner.stats.simulated += 1
-        runner.stats.note_telemetry(telemetry)
+        runner.stats.add("simulated")
+        runner.stats.merge(telemetry.counters)
     profiler.disable()
     wall = time.perf_counter() - started
 

@@ -14,8 +14,12 @@ locally:
 4. run the *equivalent* ``repro sweep`` CLI command over the same
    store and require its table to be **byte-identical** to the
    service's -- serving must add an interface, not a second rendering
-   -- and its engine line to report zero simulations (the CLI resolved
-   every point from the store the service populated).
+   -- and its engine line to report zero simulations and exactly one
+   cache hit per grid point (the CLI resolved every point from the
+   store the service populated, and counted each one once).
+
+The service job's own telemetry must count each point once too: its
+``cache_hits`` equals its ``progress.hits``.
 
 Exits non-zero, with a diff, on any mismatch.
 """
@@ -113,6 +117,10 @@ def main():
         if progress["executed"] != progress["unique"]:
             fail("a fresh store must execute every unique point, got "
                  f"{progress}")
+        telemetry = snapshot.get("telemetry") or {}
+        if telemetry.get("cache_hits") != progress["hits"]:
+            fail(f"job telemetry counts {telemetry.get('cache_hits')} "
+                 f"cache hit(s), its progress {progress['hits']}")
 
         service_table = http("GET", f"{url}/jobs/{job_id}/table")
         results = json.loads(http("GET", f"{url}/results"))
@@ -148,9 +156,10 @@ def main():
     cli_table = "\n".join(
         line for line in lines if not line.startswith("[engine]")
     )
-    if "simulated 0 run(s)" not in (engine_lines or [""])[0]:
-        fail("the CLI sweep re-simulated points the service already "
-             f"stored: {engine_lines}")
+    expected = f"simulated 0 run(s) ({progress['total']} cache hit(s))"
+    if expected not in (engine_lines or [""])[0]:
+        fail(f"the CLI sweep's engine line is not {expected!r} for the "
+             f"points the service already stored: {engine_lines}")
 
     if cli_table != service_table:
         diff = "\n".join(difflib.unified_diff(
@@ -158,7 +167,8 @@ def main():
             "service table", "cli table", lineterm="",
         ))
         fail(f"service and CLI tables differ:\n{diff}")
-    print("   tables are byte-identical; CLI simulated nothing")
+    print("   tables are byte-identical; CLI simulated nothing and "
+          "hit each point once")
     print("OK: service smoke passed")
     return 0
 

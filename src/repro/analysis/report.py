@@ -37,20 +37,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.store.query import Query, StoredRecord
 from repro.store.result_store import StoreStats
+from repro.telemetry import Counters
 
-#: Telemetry counters summed across run-log entries.
-_TELEMETRY_TOTALS = (
-    "simulations", "cache_hits", "host_seconds", "simulated_cycles",
-    "simulated_instructions", "cycles_skipped", "kernel_builds",
-    "kernel_build_seconds", "compile_cache_hits", "compile_cache_misses",
-    "compile_seconds", "pool_retries",
-    # Fault-tolerance counters from the chunk scheduler (absent in run
-    # logs written before the distributed backends existed -- the
-    # summing loop treats missing keys as zero).  Keys a run log carries
-    # that are not listed here are ignored.
-    "chunk_retries", "chunk_timeouts", "chunks_quarantined",
-    "backend_degradations",
-)
+#: Numeric run-log fields that are not counts: the entry's timestamp
+#: and a per-entry rate.  Every other number an entry carries is
+#: summed (a key older entries lack simply reads as zero).
+_NOT_SUMMED = frozenset(("time", "simulated_cycles_per_host_second"))
+
+#: Counter-name prefix of the retired replay engine: run logs written
+#: while it existed still carry its counters, which mean nothing now.
+_RETIRED_PREFIX = "replay"
 
 
 @dataclass
@@ -80,7 +76,8 @@ class SweepReport:
     baseline_policy: Optional[str]      # None when absent from the data
     requested_baseline: str
     delta_rows: List[DeltaRow]
-    telemetry: Dict[str, float]
+    #: Run-log counters summed over every logged run.
+    telemetry: Counters
     runs: List[dict]
     stats: StoreStats
     #: [(label, {benchmark: median_seconds})] oldest file first.
@@ -193,13 +190,14 @@ def build_report(query: Query, baseline_policy: str = "BL",
         )
 
     runs = query.run_history()
-    telemetry = {name: 0.0 for name in _TELEMETRY_TOTALS}
+    telemetry = Counters()
     for entry in runs:
-        for name in _TELEMETRY_TOTALS:
-            value = entry.get(name)
+        for name, value in entry.items():
             if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                telemetry[name] += value
+                    and not isinstance(value, bool) \
+                    and name not in _NOT_SUMMED \
+                    and not name.startswith(_RETIRED_PREFIX):
+                telemetry.add(name, value)
     compile_total = (telemetry["compile_cache_hits"]
                      + telemetry["compile_cache_misses"])
     telemetry["compile_cache_hit_rate"] = (
@@ -375,7 +373,7 @@ def _html_document(report: SweepReport) -> str:
             [
                 ("simulations", int(telemetry["simulations"])),
                 ("cache hits", int(telemetry["cache_hits"])),
-                ("host seconds", telemetry["host_seconds"]),
+                ("host seconds", float(telemetry["host_seconds"])),
                 ("simulated cycles", int(telemetry["simulated_cycles"])),
                 ("cycles skipped", int(telemetry["cycles_skipped"])),
                 ("kernel builds", int(telemetry["kernel_builds"])),

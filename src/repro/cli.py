@@ -58,7 +58,7 @@ from repro.compiler import compile_kernel
 from repro.experiments import (
     Runner,
     fig2, fig3, fig4, fig9, fig10, fig11, fig12, fig13, fig14,
-    overheads, render_sweep_table, sweep_requests,
+    overheads, render_sweep_table,
     table1, table2, table4,
 )
 from repro.experiments.runner import default_cache_dir
@@ -588,21 +588,14 @@ def _cmd_sweep(args) -> None:
     runner = _make_runner(args.backend, args.hosts)
     policies = [policy.strip() for policy in args.policies.split(",")]
     try:
-        runner.simulate_many(
-            [
-                request
-                for arch in archs
-                for policy in policies
-                for request in sweep_requests(policy, workload, arch=arch)
-            ],
-            jobs=args.jobs,
-        )
+        # One shared formatter with the job tracker (`repro serve`), so
+        # the service's completed-job table is byte-identical to this.
+        table = render_sweep_table(runner, workload, policies, archs,
+                                   jobs=args.jobs)
     except KeyboardInterrupt:
         runner.log_run(f"sweep {workload} (interrupted)")
         _interrupted(runner)
-    # One shared renderer with the job tracker (`repro serve`), so the
-    # service's completed-job table is byte-identical to this output.
-    print(render_sweep_table(runner, workload, policies, archs))
+    print(table)
     runner.log_run(f"sweep {workload}")
     print(f"[engine] {runner.render_telemetry()}")
 

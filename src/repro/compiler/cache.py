@@ -46,7 +46,6 @@ from __future__ import annotations
 import os
 import time
 import weakref
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.compiler.pipeline import CompiledKernel, compile_kernel
@@ -54,6 +53,7 @@ from repro.compiler.register_intervals import DEFAULT_MAX_REGISTERS
 from repro.ir.kernel import Kernel, TraceEntry
 from repro.ir.liveness import annotate_dead_operands
 from repro.ir.serialize import fingerprint_of
+from repro.telemetry import Counters
 
 
 def cache_enabled() -> bool:
@@ -62,22 +62,10 @@ def cache_enabled() -> bool:
     return os.environ.get("LTRF_COMPILE_CACHE", "1") != "0"
 
 
-@dataclass
-class StaticCacheStats:
-    """Compile-side counters surfaced through the runner's telemetry."""
-
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    #: Host seconds spent inside compile passes (misses only).
-    compile_seconds: float = 0.0
-
-    def snapshot(self) -> Tuple[int, int, float]:
-        return (self.compile_cache_hits, self.compile_cache_misses,
-                self.compile_seconds)
-
-
-#: Process-wide counters (per pool-worker process, like the caches).
-STATS = StaticCacheStats()
+#: Process-wide compile counters (per pool-worker process, like the
+#: caches): ``compile_cache_hits``, ``compile_cache_misses`` and
+#: ``compile_seconds`` (host seconds inside compile passes, misses only).
+STATS = Counters()
 
 #: (fingerprint, region_kind, max_registers, run_pass2) -> artifact.
 _compiled: Dict[Tuple[str, str, int, bool], CompiledKernel] = {}
@@ -103,20 +91,18 @@ def clear_static_cache() -> None:
     _compiled.clear()
     _liveness.clear()
     _traces.clear()
-    STATS.compile_cache_hits = 0
-    STATS.compile_cache_misses = 0
-    STATS.compile_seconds = 0.0
+    STATS.clear()
 
 
 def _timed_compile(kernel: Kernel, region_kind: str, max_registers: int,
                    run_pass2: bool) -> CompiledKernel:
-    STATS.compile_cache_misses += 1
+    STATS.add("compile_cache_misses")
     started = time.perf_counter()
     compiled = compile_kernel(
         kernel, region_kind=region_kind, max_registers=max_registers,
         run_pass2=run_pass2,
     )
-    STATS.compile_seconds += time.perf_counter() - started
+    STATS.add("compile_seconds", time.perf_counter() - started)
     return compiled
 
 
@@ -140,7 +126,7 @@ def compiled_kernel_for(
             kernel, region_kind, max_registers, run_pass2
         )
     else:
-        STATS.compile_cache_hits += 1
+        STATS.add("compile_cache_hits")
     return found
 
 
@@ -152,23 +138,23 @@ def liveness_kernel_for(kernel: Kernel) -> Kernel:
     full compiles -- it is the same class of per-run static work.
     """
     if not cache_enabled():
-        STATS.compile_cache_misses += 1
+        STATS.add("compile_cache_misses")
         started = time.perf_counter()
         clone = kernel.clone()
         annotate_dead_operands(clone)
-        STATS.compile_seconds += time.perf_counter() - started
+        STATS.add("compile_seconds", time.perf_counter() - started)
         return clone
     key = fingerprint_of(kernel)
     found = _liveness.get(key)
     if found is None:
-        STATS.compile_cache_misses += 1
+        STATS.add("compile_cache_misses")
         started = time.perf_counter()
         clone = kernel.clone()
         annotate_dead_operands(clone)
-        STATS.compile_seconds += time.perf_counter() - started
+        STATS.add("compile_seconds", time.perf_counter() - started)
         _liveness[key] = found = clone
     else:
-        STATS.compile_cache_hits += 1
+        STATS.add("compile_cache_hits")
     return found
 
 

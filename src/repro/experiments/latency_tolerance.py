@@ -11,18 +11,24 @@ latency*: the largest multiple whose IPC loss stays within a threshold
 on a fixed grid and interpolate the crossing linearly.
 
 Each figure declares its full ``(workload, policy, latency)`` grid up
-front and warms the cache through :meth:`Runner.simulate_many` (the
+front and resolves it with one :meth:`Runner.simulate_many` call (the
 batch engine), so ``jobs=N`` runs the grid on worker processes; the
-per-sweep normalisation below then consumes pure memory-cache hits and
-renders identically for any job count.
+per-sweep normalisation below then reads the records that call
+returned, in grid order, so every grid point is counted once and the
+figures render identically for any job count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.experiments.report import ExperimentResult, mean
-from repro.experiments.runner import Runner, SimRequest, sweep_config
+from repro.experiments.runner import (
+    RunRecord,
+    Runner,
+    SimRequest,
+    sweep_config,
+)
 from repro.workloads import EVALUATION, workload_category
 
 #: The latency grid of Figures 12-14 (x axis: 1x..7x).
@@ -62,19 +68,28 @@ def normalized_sweep(runner: Runner, policy: str, workload: str,
                      **config_overrides) -> List[float]:
     """IPC at each grid point, normalised to the same design at 1x.
 
-    Reads through the public cache surface: each grid point is probed
-    with :meth:`Runner.lookup` first, so a sweep already warmed by
-    :meth:`Runner.simulate_many` (how every figure drives its grid)
-    costs pure lookups; only genuinely cold points fall back to the
-    batch engine.
+    One :meth:`Runner.simulate_many` call: warm points are cache hits,
+    cold ones simulate.
     """
-    requests = sweep_requests(policy, workload, grid, arch=arch,
-                              **config_overrides)
-    records = [runner.lookup(runner.request_key(r)) for r in requests]
-    if any(record is None for record in records):
-        records = runner.simulate_many(requests, jobs=jobs)
+    return _normalise(runner.simulate_many(
+        sweep_requests(policy, workload, grid, arch=arch,
+                       **config_overrides),
+        jobs=jobs,
+    ))
+
+
+def _normalise(records: Sequence[RunRecord]) -> List[float]:
+    """One sweep's IPC, normalised to its first (1x) point."""
     base = records[0].ipc if records else 0.0
     return [record.ipc / base if base else 0.0 for record in records]
+
+
+def _sweeps(records: Sequence[RunRecord],
+            width: int = len(LATENCY_GRID)) -> Iterator[List[float]]:
+    """Grid-ordered records, cut into consecutive ``width``-point
+    sweeps, each normalised to its first point."""
+    for start in range(0, len(records), width):
+        yield _normalise(records[start:start + width])
 
 
 def max_tolerable_latency(normalized: Sequence[float],
@@ -102,16 +117,38 @@ def render_sweep_table(runner: Runner, workload: str,
                        policies: Sequence[str],
                        archs: Sequence[str] = ("maxwell-like",),
                        grid: Sequence[float] = LATENCY_GRID,
+                       jobs: Optional[int] = None,
                        **config_overrides) -> str:
     """The ``repro sweep`` table for one workload, as a string.
 
-    One line per (architecture, policy): the normalised IPC curve over
-    ``grid`` plus the interpolated maximum tolerable latency.  Shared
-    by the CLI ``sweep`` command and the job tracker's completed-job
-    rendering, so the two are byte-identical by construction (the
-    service smoke test pins this).  Reads through the public cache
-    surface -- a grid already warmed by ``simulate_many`` costs pure
-    lookups.
+    Resolves the whole ``archs x policies x grid`` row set with one
+    :meth:`Runner.simulate_many` call (``jobs`` as there) and formats
+    it with :func:`format_sweep_table`.
+    """
+    requests = [
+        request
+        for arch in archs
+        for policy in policies
+        for request in sweep_requests(policy, workload, grid, arch=arch,
+                                      **config_overrides)
+    ]
+    return format_sweep_table(runner.simulate_many(requests, jobs=jobs),
+                              policies, archs, grid)
+
+
+def format_sweep_table(records: Sequence[RunRecord],
+                       policies: Sequence[str],
+                       archs: Sequence[str] = ("maxwell-like",),
+                       grid: Sequence[float] = LATENCY_GRID) -> str:
+    """Format one workload's sweep records as the ``repro sweep`` table.
+
+    ``records`` are in :func:`render_sweep_table`'s request order
+    (architecture, then policy, then latency).  One line per
+    (architecture, policy): the normalised IPC curve over ``grid`` plus
+    the interpolated maximum tolerable latency.  Shared by the CLI
+    ``sweep`` command and the job tracker's completed-job rendering,
+    so the two are byte-identical by construction (the service smoke
+    test pins this).
     """
     policies = list(policies)
     archs = list(archs)
@@ -119,11 +156,11 @@ def render_sweep_table(runner: Runner, workload: str,
         12,
         *(len(f"{policy}@{arch}") for arch in archs for policy in policies),
     ) if len(archs) > 1 else 12
+    sweeps = _sweeps(records, len(grid))
     lines = []
     for arch in archs:
         for policy in policies:
-            sweep = normalized_sweep(runner, policy, workload, grid,
-                                     arch=arch, **config_overrides)
+            sweep = next(sweeps)
             tolerable = max_tolerable_latency(sweep, grid)
             curve = "  ".join(f"{value:.2f}" for value in sweep)
             label = f"{policy}@{arch}" if len(archs) > 1 else policy
@@ -143,7 +180,7 @@ def fig11(runner: Runner, workloads: Optional[List[str]] = None,
         f"Maximum tolerable RF latency (<= {loss:.0%} IPC loss)",
         ("Workload", "Category") + FIG11_POLICIES,
     )
-    runner.simulate_many(
+    sweeps = _sweeps(runner.simulate_many(
         [
             request
             for name in names
@@ -151,13 +188,12 @@ def fig11(runner: Runner, workloads: Optional[List[str]] = None,
             for request in sweep_requests(policy, name, arch=arch)
         ],
         jobs=jobs,
-    )
+    ))
     series: Dict[str, List[float]] = {p: [] for p in FIG11_POLICIES}
     for name in names:
         row = []
         for policy in FIG11_POLICIES:
-            sweep = normalized_sweep(runner, policy, name, arch=arch)
-            tolerable = max_tolerable_latency(sweep, loss=loss)
+            tolerable = max_tolerable_latency(next(sweeps), loss=loss)
             row.append(tolerable)
             series[policy].append(tolerable)
         result.add_row(name, workload_category(name), *row)
@@ -178,7 +214,7 @@ def fig12(runner: Runner, workloads: Optional[List[str]] = None,
         "LTRF normalised IPC vs MRF latency and interval size",
         ("Relative latency",) + tuple(f"{n} regs" for n in interval_sizes),
     )
-    runner.simulate_many(
+    sweeps = _sweeps(runner.simulate_many(
         [
             request
             for size in interval_sizes
@@ -188,15 +224,12 @@ def fig12(runner: Runner, workloads: Optional[List[str]] = None,
             )
         ],
         jobs=jobs,
-    )
+    ))
     curves = {}
     for size in interval_sizes:
         per_point = [[] for _ in LATENCY_GRID]
-        for name in names:
-            sweep = normalized_sweep(
-                runner, "LTRF", name, arch=arch, regs_per_interval=size
-            )
-            for index, value in enumerate(sweep):
+        for _name in names:
+            for index, value in enumerate(next(sweeps)):
                 per_point[index].append(value)
         curves[size] = [mean(point) for point in per_point]
     for index, multiple in enumerate(LATENCY_GRID):
@@ -221,7 +254,7 @@ def fig13(runner: Runner, workloads: Optional[List[str]] = None,
         "LTRF normalised IPC vs MRF latency and active warps",
         ("Relative latency",) + tuple(f"{n} warps" for n in pools),
     )
-    runner.simulate_many(
+    sweeps = _sweeps(runner.simulate_many(
         [
             request
             for pool in pools
@@ -230,15 +263,12 @@ def fig13(runner: Runner, workloads: Optional[List[str]] = None,
                                           active_warps=pool)
         ],
         jobs=jobs,
-    )
+    ))
     curves = {}
     for pool in pools:
         per_point = [[] for _ in LATENCY_GRID]
-        for name in names:
-            sweep = normalized_sweep(
-                runner, "LTRF", name, arch=arch, active_warps=pool
-            )
-            for index, value in enumerate(sweep):
+        for _name in names:
+            for index, value in enumerate(next(sweeps)):
                 per_point[index].append(value)
         curves[pool] = [mean(point) for point in per_point]
     for index, multiple in enumerate(LATENCY_GRID):
@@ -263,7 +293,7 @@ def fig14(runner: Runner, workloads: Optional[List[str]] = None,
         "Normalised IPC vs MRF latency: BL/RFC/SHRF/LTRF-strand/LTRF",
         ("Relative latency",) + FIG14_POLICIES,
     )
-    runner.simulate_many(
+    sweeps = _sweeps(runner.simulate_many(
         [
             request
             for policy in FIG14_POLICIES
@@ -271,13 +301,12 @@ def fig14(runner: Runner, workloads: Optional[List[str]] = None,
             for request in sweep_requests(policy, name, arch=arch)
         ],
         jobs=jobs,
-    )
+    ))
     curves = {}
     for policy in FIG14_POLICIES:
         per_point = [[] for _ in LATENCY_GRID]
-        for name in names:
-            sweep = normalized_sweep(runner, policy, name, arch=arch)
-            for index, value in enumerate(sweep):
+        for _name in names:
+            for index, value in enumerate(next(sweeps)):
                 per_point[index].append(value)
         curves[policy] = [mean(point) for point in per_point]
     for index, multiple in enumerate(LATENCY_GRID):

@@ -2,7 +2,8 @@
 
 Every experiment returns an :class:`ExperimentResult`: a caption, column
 headers, and rows.  ``render`` produces the aligned text table the
-benchmarks print and EXPERIMENTS.md embeds; ``geomean`` and ``mean``
+benchmarks print and ``scripts/run_all_experiments.py`` writes out;
+``geomean`` and ``mean``
 are the aggregations the paper uses for its "on average" claims.
 """
 

@@ -34,7 +34,7 @@ exhaust their retry budget (they re-run serially in this process,
 where a real poison shows its real traceback), and degrades to serial
 in-process execution when the backend itself is broken -- so a sweep
 finishes late rather than never, and every recovery action is counted
-in :class:`RunnerStats`.
+in ``runner.stats`` (a :class:`~repro.telemetry.Counters`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import time
 # Resolved as a *module attribute* by launchers.local (and monkeypatched
 # by the scripted-pool tests) -- not referenced by name in this module.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.arch.config import GPUConfig
@@ -61,6 +61,7 @@ from repro.arch.sm import StreamingMultiprocessor
 from repro.compiler.cache import STATS as COMPILE_STATS
 from repro.policies import policy_by_name
 from repro.store import Query, ResultStore
+from repro.telemetry import Counters
 from repro.workloads import (
     resolve_workload,
     workload_fingerprint,
@@ -160,27 +161,31 @@ class SimTelemetry:
     """
 
     engine: str
-    host_seconds: float
-    cycles: int
-    instructions: int
-    cycles_skipped: int
-    event_counts: Dict[str, int]
     #: Content fingerprint of the kernel this run actually simulated.
     #: For generated workloads it always equals the fingerprint in the
     #: request's cache key; for file-backed workloads the file may be
     #: rewritten between the caller's key computation and the (worker's)
     #: execution, and the runner uses this to store the record under
     #: the content that produced it (see Runner._content_key).
-    kernel_fingerprint: str = ""
-    # Static-work accounting for this run (deltas of the process-wide
-    # kernel-build and compile-cache counters): how much host time went
-    # into building/compiling rather than simulating, and whether the
-    # compiled artifact came from the static-artifact cache.
-    kernel_builds: int = 0
-    kernel_build_seconds: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_seconds: float = 0.0
+    kernel_fingerprint: str
+    #: This run's counts, named as ``runner.stats`` names them: host
+    #: seconds, simulated cycles and instructions, skipped cycles,
+    #: ``event_counts``, plus its share of the process-wide static work
+    #: (kernel builds, compile-cache hits/misses and their seconds).
+    counters: Counters
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SimTelemetry":
+        """Rebuild a telemetry that crossed a process boundary as JSON
+        (``dataclasses.asdict`` on the worker side)."""
+        return cls(payload["engine"], payload["kernel_fingerprint"],
+                   Counters().merge(payload["counters"]))
+
+
+def _static_work() -> Counters:
+    """One snapshot of the process-wide static-work counters (kernel
+    builds and the compile cache)."""
+    return BUILD_STATS.copy().merge(COMPILE_STATS)
 
 
 def execute_request_with_telemetry(request: SimRequest):
@@ -196,10 +201,7 @@ def execute_request_with_telemetry(request: SimRequest):
     process-wide static-artifact caches; the telemetry reports this
     run's share of it as counter deltas.
     """
-    builds_before, build_seconds_before = BUILD_STATS.snapshot()
-    hits_before, misses_before, compile_seconds_before = (
-        COMPILE_STATS.snapshot()
-    )
+    before = _static_work()
     kernel, fingerprint = resolve_workload(request.workload)
     sm = StreamingMultiprocessor(
         request.config, policy_by_name(request.policy)
@@ -225,25 +227,14 @@ def execute_request_with_telemetry(request: SimRequest):
         rfc_writebacks=result.rfc_writebacks,
         l1_hit_rate=result.l1_hit_rate,
     )
-    builds_after, build_seconds_after = BUILD_STATS.snapshot()
-    hits_after, misses_after, compile_seconds_after = (
-        COMPILE_STATS.snapshot()
-    )
-    telemetry = SimTelemetry(
-        engine=result.engine,
+    counters = Counters(
         host_seconds=result.host_seconds,
-        cycles=result.cycles,
-        instructions=result.instructions,
+        simulated_cycles=result.cycles,
+        simulated_instructions=result.instructions,
         cycles_skipped=result.cycles_skipped,
-        event_counts=result.event_counts,
-        kernel_fingerprint=fingerprint,
-        kernel_builds=builds_after - builds_before,
-        kernel_build_seconds=build_seconds_after - build_seconds_before,
-        compile_cache_hits=hits_after - hits_before,
-        compile_cache_misses=misses_after - misses_before,
-        compile_seconds=compile_seconds_after - compile_seconds_before,
-    )
-    return record, telemetry
+        event_counts=Counters(result.event_counts),
+    ).merge(_static_work().delta_since(before))
+    return record, SimTelemetry(result.engine, fingerprint, counters)
 
 
 def execute_batch(requests: List[SimRequest]):
@@ -292,92 +283,43 @@ def execute_request(request: SimRequest) -> RunRecord:
     return execute_request_with_telemetry(request)[0]
 
 
-@dataclass
-class RunnerStats:
-    """Cache/engine counters, exposed for tests and tooling."""
+#: Chunk-scheduler events (:mod:`repro.launchers.scheduler`) -> the
+#: ``runner.stats`` counter each one bumps.  Every recovery decision is
+#: counted, so a sweep that survived trouble *says so* in
+#: telemetry_summary() and `repro report` instead of silently
+#: absorbing it.
+_SCHEDULER_EVENTS = {
+    "retry": "chunk_retries",           # failed deliveries re-queued
+    "timeout": "chunk_timeouts",        # chunks killed at LTRF_CHUNK_TIMEOUT
+    "quarantine": "chunks_quarantined",  # retry budget exhausted -> serial
+    "degrade": "backend_degradations",  # backend abandoned for serial
+    "restart": "pool_retries",          # broken backend rebuilt mid-grid
+}
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    simulated: int = 0
-    batch_requests: int = 0
-    batch_deduplicated: int = 0
-    batch_dispatched: int = 0
-    #: Times a broken backend was torn down and rebuilt mid-grid
-    #: (e.g. a broken process pool replaced; see Runner._run_parallel).
-    pool_retries: int = 0
-    # Fault-tolerance counters (see repro.launchers.scheduler): every
-    # recovery decision the chunk scheduler takes is visible here, so
-    # a sweep that survived trouble *says so* in telemetry_summary()
-    # and `repro report` instead of silently absorbing it.
-    chunk_retries: int = 0          # failed deliveries re-queued
-    chunk_timeouts: int = 0         # chunks killed at LTRF_CHUNK_TIMEOUT
-    chunks_quarantined: int = 0     # retry budget exhausted -> serial
-    backend_degradations: int = 0   # backend abandoned for serial
-    # Aggregated simulation telemetry (simulated-vs-host-time stats).
-    host_seconds: float = 0.0
-    simulated_cycles: int = 0
-    simulated_instructions: int = 0
-    cycles_skipped: int = 0
-    event_counts: Dict[str, int] = field(default_factory=dict)
-    # Aggregated static-work telemetry (kernel builds + policy
-    # compiles), so sweeps can see how much of their wall-clock is
-    # amortisable front-end work and whether the compile cache earns
-    # its keep.
-    kernel_builds: int = 0
-    kernel_build_seconds: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_seconds: float = 0.0
+#: The faults a sweep survived: a run with any of them is logged even
+#: when it simulated nothing, and its stats line says so.
+_FAULT_COUNTERS = ("chunk_retries", "chunk_timeouts", "chunks_quarantined",
+                   "backend_degradations")
 
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def simulated_cycles_per_host_second(self) -> float:
-        if self.host_seconds <= 0.0:
-            return 0.0
-        return self.simulated_cycles / self.host_seconds
-
-    def copy(self) -> "RunnerStats":
-        """An independent snapshot of every counter."""
-        clone = RunnerStats(**{
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self) if spec.name != "event_counts"
-        })
-        clone.event_counts = dict(self.event_counts)
-        return clone
-
-    def delta_since(self, baseline: "RunnerStats") -> "RunnerStats":
-        """Counter-wise ``self - baseline``: what happened since the
-        baseline snapshot was taken (used by :meth:`Runner.log_run` to
-        write per-sweep run-log entries while the lifetime totals stay
-        on the runner)."""
-        delta = RunnerStats(**{
-            spec.name: getattr(self, spec.name) - getattr(baseline,
-                                                          spec.name)
-            for spec in fields(self) if spec.name != "event_counts"
-        })
-        delta.event_counts = {
-            kind: count - baseline.event_counts.get(kind, 0)
-            for kind, count in self.event_counts.items()
-            if count - baseline.event_counts.get(kind, 0)
-        }
-        return delta
-
-    def note_telemetry(self, telemetry: "SimTelemetry") -> None:
-        """Fold one simulation's execution report into the aggregate."""
-        self.host_seconds += telemetry.host_seconds
-        self.simulated_cycles += telemetry.cycles
-        self.simulated_instructions += telemetry.instructions
-        self.cycles_skipped += telemetry.cycles_skipped
-        self.kernel_builds += telemetry.kernel_builds
-        self.kernel_build_seconds += telemetry.kernel_build_seconds
-        self.compile_cache_hits += telemetry.compile_cache_hits
-        self.compile_cache_misses += telemetry.compile_cache_misses
-        self.compile_seconds += telemetry.compile_seconds
-        for kind, count in telemetry.event_counts.items():
-            self.event_counts[kind] = self.event_counts.get(kind, 0) + count
+#: The run-log and summary format.  A summary always carries these
+#: fields, starting from these zeros (typed as they have always been
+#: written), and then every other counter under its own name -- except
+#: the ones below, which are written under another name (``simulated``
+#: as ``simulations``, the two hit tiers as ``cache_hits``), only in
+#: the run log (``_LOG_ONLY``), or not at all (batch bookkeeping).
+_SUMMARY_ZEROS = {
+    "simulations": 0, "cache_hits": 0, "host_seconds": 0.0,
+    "simulated_cycles": 0, "simulated_instructions": 0,
+    "cycles_skipped": 0, "simulated_cycles_per_host_second": 0.0,
+    "event_counts": {}, "kernel_builds": 0, "kernel_build_seconds": 0.0,
+    "compile_cache_hits": 0, "compile_cache_misses": 0,
+    "compile_seconds": 0.0, "chunk_retries": 0, "chunk_timeouts": 0,
+    "chunks_quarantined": 0, "backend_degradations": 0,
+}
+_LOG_ONLY = ("pool_retries", "batch_requests", "memory_hits", "disk_hits")
+_NOT_SUMMARISED = frozenset(
+    _LOG_ONLY + ("simulated", "batch_deduplicated", "batch_dispatched")
+)
 
 
 #: Field types the cache-key fingerprint encodes natively.  GPUConfig
@@ -473,11 +415,12 @@ class Runner:
             ResultStore(cache_dir) if cache_dir is not None else None
         )
         self._memory_cache: Dict[str, RunRecord] = {}
-        self.stats = RunnerStats()
+        #: Cache/engine counters, exposed for tests and tooling.
+        self.stats = Counters(event_counts=Counters())
         #: Counter snapshot at the last :meth:`log_run`, so run-log
         #: entries are per-sweep deltas (summable by reports) while
         #: ``self.stats`` keeps process-lifetime totals.
-        self._logged_stats = RunnerStats()
+        self._logged_stats = Counters()
         if self.result_store is not None \
                 and self.result_store.has_legacy_entries():
             _warn_legacy_entries(cache_dir)
@@ -554,24 +497,31 @@ class Runner:
         instead of poking the runner's cache internals.
         """
         if key in self._memory_cache:
-            self.stats.memory_hits += 1
+            self.stats.add("memory_hits")
             return self._memory_cache[key]
+        record = self._stored_record(key)
+        if record is not None:
+            self.stats.add("disk_hits")
+            self._memory_cache[key] = record
+        return record
+
+    def _stored_record(self, key: str) -> Optional[RunRecord]:
+        """The record the result store holds under ``key``, or None.
+
+        Counter-free: each caller decides what a find means.  A
+        stale-schema entry (fields added/renamed since it was written)
+        reads as a miss; the re-simulated record is appended under the
+        same key and shadows it, and compaction reclaims the dead bytes.
+        """
         if self.result_store is None:
             return None
         payload = self.result_store.get(key)
         if payload is None:
             return None
         try:
-            record = RunRecord(**payload)
+            return RunRecord(**payload)
         except TypeError:
-            # Stale-schema entry (fields added/renamed since it was
-            # written): treat as a miss.  The re-simulated record is
-            # appended under the same key and shadows it; compaction
-            # reclaims the dead bytes.
             return None
-        self.stats.disk_hits += 1
-        self._memory_cache[key] = record
-        return record
 
     def results(self) -> Query:
         """A :class:`~repro.store.Query` over this runner's store.
@@ -599,20 +549,11 @@ class Runner:
         address it.
         """
         record = self.lookup(key)
-        if record is not None:
-            return record
-        if self.result_store is None:
-            return None
-        payload = self.result_store.get(self._legacy_key(request))
-        if payload is None:
-            return None
-        try:
-            record = RunRecord(**payload)
-        except TypeError:
-            # Stale-schema legacy entry: a miss, same as in _load.
-            return None
-        self.stats.disk_hits += 1
-        self._store(key, record)
+        if record is None and self.result_store is not None:
+            record = self._stored_record(self._legacy_key(request))
+            if record is not None:
+                self.stats.add("disk_hits")
+                self._store(key, record)
         return record
 
     def _store(self, key: str, record: RunRecord) -> None:
@@ -633,34 +574,25 @@ class Runner:
 
     # -- simulation ---------------------------------------------------------
 
-    def _note_front_end_builds(self, before) -> None:
+    def _note_front_end_builds(self, before: Counters) -> None:
         """Attribute kernel builds done while computing cache keys.
 
         Key computation fingerprints (and therefore may build) each
         workload in *this* process before any simulation runs; the
         per-request telemetry only sees builds inside the executing
         process, so without this the serial path would report the
-        static front-end as free.
+        static front-end as free.  ``before`` is a copy of
+        ``BUILD_STATS`` taken ahead of the key computation.
         """
-        builds, seconds = BUILD_STATS.snapshot()
-        self.stats.kernel_builds += builds - before[0]
-        self.stats.kernel_build_seconds += seconds - before[1]
+        self.stats.merge(BUILD_STATS.delta_since(before))
 
     def simulate(self, workload: str, policy: str, config: GPUConfig,
                  seed: int = 0) -> RunRecord:
-        """Run (or fetch from cache) one simulation."""
-        request = SimRequest(workload, policy, config, seed)
-        before = BUILD_STATS.snapshot()
-        key = self.request_key(request)
-        self._note_front_end_builds(before)
-        cached = self._load_or_migrate(key, request)
-        if cached is not None:
-            return cached
-        record, telemetry = execute_request_with_telemetry(request)
-        self.stats.simulated += 1
-        self.stats.note_telemetry(telemetry)
-        self._store(self._content_key(key, telemetry), record)
-        return record
+        """Run (or fetch from cache) one simulation: a one-point
+        :meth:`simulate_many`."""
+        return self.simulate_many(
+            [SimRequest(workload, policy, config, seed)]
+        )[0]
 
     def simulate_many(self, requests: Iterable[SimRequest],
                       jobs: Optional[int] = None) -> List[RunRecord]:
@@ -683,26 +615,6 @@ class Runner:
         execute_plan(self, plan, jobs=jobs)
         return plan.merge()
 
-    def _probe_flushed(self, key: str) -> Optional[RunRecord]:
-        """A record some worker already flushed to the store, or None.
-
-        Counter-free on purpose: at dispatch time this key was a
-        verified miss, so anything here now was simulated *during this
-        sweep* by a worker that died (or timed out) before delivering
-        -- it is accounted as a simulation, not a cache hit, by the
-        caller.
-        """
-        if self.result_store is None:
-            return None
-        payload = self.result_store.get(key)
-        if payload is None:
-            return None
-        try:
-            record = RunRecord(**payload)
-        except TypeError:
-            return None
-        return record
-
     def _absorb(self, key: str, record: RunRecord,
                 telemetry: Optional[SimTelemetry], cached: bool,
                 results: Dict[str, RunRecord]) -> None:
@@ -716,9 +628,9 @@ class Runner:
         if key in results:
             return
         results[key] = record
-        self.stats.simulated += 1
+        self.stats.add("simulated")
         if telemetry is not None:
-            self.stats.note_telemetry(telemetry)
+            self.stats.merge(telemetry.counters)
             self._store(self._content_key(key, telemetry), record)
         else:
             # Served from a dead predecessor's flushed store entry
@@ -737,7 +649,7 @@ class Runner:
         exhausting their budget, and -- when the backend itself is
         broken -- the remainder runs serially in this process (see
         :mod:`repro.launchers.scheduler`), so the grid always
-        completes; recovery actions land in :class:`RunnerStats`.
+        completes; recovery actions land in ``runner.stats``.
 
         ``on_point(key)`` observes every newly completed grid point as
         its chunk delivers (the job tracker's progress feed);
@@ -777,23 +689,18 @@ class Runner:
                 absorb(key, record, telemetry, cached)
 
         def on_event(kind: str, chunk: Chunk) -> None:
-            if kind == "retry":
-                self.stats.chunk_retries += 1
-            elif kind == "timeout":
-                self.stats.chunk_timeouts += 1
-            elif kind == "quarantine":
-                self.stats.chunks_quarantined += 1
-            elif kind == "degrade":
-                self.stats.backend_degradations += 1
-            elif kind == "restart":
-                self.stats.pool_retries += 1
+            self.stats.add(_SCHEDULER_EVENTS[kind])
 
         def run_serial(rest: List[Chunk]) -> None:
             # Quarantined chunks and broken-backend remainders execute
             # here, in the orchestrating process: no worker identity,
             # so the fault harness never fires, and a genuinely
             # poisoned grid point raises its real traceback.  Records
-            # a dead worker already flushed are served, not re-run.
+            # a dead worker already flushed are served, not re-run:
+            # each key was a verified miss at dispatch time, so a
+            # record stored now was simulated *during this sweep* by a
+            # worker that died (or timed out) before delivering, and
+            # counts as a simulation, not a cache hit.
             for chunk in rest:
                 for key, request in chunk.items:
                     if key in results:
@@ -803,7 +710,7 @@ class Runner:
                             "sweep aborted during serial re-run; "
                             "completed points are flushed"
                         )
-                    flushed = self._probe_flushed(key)
+                    flushed = self._stored_record(key)
                     if flushed is not None:
                         absorb(key, flushed, None, True)
                         continue
@@ -821,36 +728,25 @@ class Runner:
     # -- telemetry ----------------------------------------------------------
 
     def telemetry_summary(
-            self, stats: Optional[RunnerStats] = None) -> Dict[str, object]:
+            self, stats: Optional[Counters] = None) -> Dict[str, object]:
         """Simulated-vs-host-time statistics for everything this runner
         actually simulated (cache hits contribute nothing).
 
         ``stats`` defaults to the runner's lifetime counters; pass a
-        :meth:`RunnerStats.delta_since` slice to summarise one sweep of
-        a long-lived runner (what :meth:`log_run` records).
+        :meth:`~repro.telemetry.Counters.delta_since` slice to summarise
+        one sweep of a long-lived runner (what :meth:`log_run` records).
         """
         if stats is None:
             stats = self.stats
-        return {
-            "simulations": stats.simulated,
-            "cache_hits": stats.hits,
-            "host_seconds": stats.host_seconds,
-            "simulated_cycles": stats.simulated_cycles,
-            "simulated_instructions": stats.simulated_instructions,
-            "cycles_skipped": stats.cycles_skipped,
-            "simulated_cycles_per_host_second":
-                stats.simulated_cycles_per_host_second,
-            "event_counts": dict(stats.event_counts),
-            "kernel_builds": stats.kernel_builds,
-            "kernel_build_seconds": stats.kernel_build_seconds,
-            "compile_cache_hits": stats.compile_cache_hits,
-            "compile_cache_misses": stats.compile_cache_misses,
-            "compile_seconds": stats.compile_seconds,
-            "chunk_retries": stats.chunk_retries,
-            "chunk_timeouts": stats.chunk_timeouts,
-            "chunks_quarantined": stats.chunks_quarantined,
-            "backend_degradations": stats.backend_degradations,
-        }
+        summary = dict(_SUMMARY_ZEROS)
+        summary.update((name, value) for name, value in stats.items()
+                       if name not in _NOT_SUMMARISED)
+        summary["simulations"] = stats.simulated
+        summary["cache_hits"] = stats.hits
+        summary["simulated_cycles_per_host_second"] = \
+            stats.simulated_cycles_per_host_second
+        summary["event_counts"] = dict(summary["event_counts"])
+        return summary
 
     def log_run(self, label: str) -> Optional[Dict[str, object]]:
         """Persist this runner's telemetry summary into the store.
@@ -874,21 +770,12 @@ class Runner:
         if self.result_store is None:
             return None
         delta = self.stats.delta_since(self._logged_stats)
-        summary = self.telemetry_summary(delta)
-        recovered = (delta.chunk_retries + delta.chunk_timeouts
-                     + delta.chunks_quarantined + delta.backend_degradations)
-        if not summary["simulations"] and not summary["cache_hits"] \
-                and not recovered:
+        if not delta.simulated and not delta.hits \
+                and not any(delta[name] for name in _FAULT_COUNTERS):
             return None
-        entry: Dict[str, object] = {
-            "label": label,
-            "time": time.time(),
-            "pool_retries": delta.pool_retries,
-            "batch_requests": delta.batch_requests,
-            "memory_hits": delta.memory_hits,
-            "disk_hits": delta.disk_hits,
-        }
-        entry.update(summary)
+        entry: Dict[str, object] = {"label": label, "time": time.time()}
+        entry.update((name, delta[name]) for name in _LOG_ONLY)
+        entry.update(self.telemetry_summary(delta))
         self.result_store.append_run_log(entry)
         self._logged_stats = self.stats.copy()
         return entry
@@ -914,12 +801,7 @@ class Runner:
             f"{summary['compile_cache_misses']} miss(es) in "
             f"{summary['compile_seconds']:.2f}s"
         )
-        faults_survived = (
-            summary["chunk_retries"] + summary["chunk_timeouts"]
-            + summary["chunks_quarantined"]
-            + summary["backend_degradations"]
-        )
-        if faults_survived:
+        if any(summary[name] for name in _FAULT_COUNTERS):
             # Only rendered when something actually went wrong, so a
             # clean run's paragraph is unchanged.
             text += (

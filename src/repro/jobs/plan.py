@@ -93,15 +93,15 @@ def plan_requests(runner: Runner,
     sweep through the jobs layer is invisible in telemetry.
     """
     requests = list(requests)
-    before = BUILD_STATS.snapshot()
+    before = BUILD_STATS.copy()
     keys = [runner.request_key(request) for request in requests]
     runner._note_front_end_builds(before)
-    runner.stats.batch_requests += len(requests)
+    runner.stats.add("batch_requests", len(requests))
 
     plan = JobPlan(requests=requests, keys=keys)
     for key, request in zip(keys, requests):
         if key in plan.results or key in plan.pending:
-            runner.stats.batch_deduplicated += 1
+            runner.stats.add("batch_deduplicated")
             plan.deduplicated += 1
             continue
         cached = runner._load_or_migrate(key, request)
@@ -109,7 +109,7 @@ def plan_requests(runner: Runner,
             plan.results[key] = cached
         else:
             plan.pending[key] = request
-    runner.stats.batch_dispatched += len(plan.pending)
+    runner.stats.add("batch_dispatched", len(plan.pending))
     return plan
 
 

@@ -37,7 +37,7 @@ import time
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments.runner import Runner
+from repro.experiments.runner import RunRecord, Runner
 from repro.jobs.plan import JobPlan, execute_plan, plan_requests
 from repro.jobs.spec import JobSpec
 from repro.launchers.scheduler import SweepAborted
@@ -352,7 +352,7 @@ class JobTracker:
 
         records = plan.merge()
         job.records = [asdict(record) for record in records]
-        job.table = self._render_table(runner, spec)
+        job.table = self._render_table(spec, records)
 
     def _follow(self, job: Job, runner: Runner, plan: JobPlan,
                 key: str, should_abort: Callable[[], bool]) -> None:
@@ -409,21 +409,24 @@ class JobTracker:
 
         return count
 
-    def _render_table(self, runner: Runner, spec: JobSpec) -> str:
-        """The job's sweep table, rendered from warm cache lookups.
+    @staticmethod
+    def _render_table(spec: JobSpec, records: List[RunRecord]) -> str:
+        """The job's sweep table, formatted from its merged records.
 
-        Single-workload jobs render byte-identically to the CLI
-        ``sweep`` stdout (same helper); multi-workload jobs get one
-        labelled section per workload.
+        ``records`` follow :meth:`JobSpec.to_requests` order, so each
+        workload's rows are one contiguous slice.  Single-workload jobs
+        render byte-identically to the CLI ``sweep`` stdout (same
+        formatter); multi-workload jobs get one labelled section per
+        workload.
         """
-        from repro.experiments.latency_tolerance import render_sweep_table
+        from repro.experiments.latency_tolerance import format_sweep_table
 
-        overrides = dict(spec.overrides)
+        width = len(spec.archs) * len(spec.policies) * len(spec.grid)
         sections = []
-        for workload in spec.workloads:
-            table = render_sweep_table(
-                runner, workload, spec.policies, spec.archs,
-                grid=spec.grid, seed=spec.seed, **overrides
+        for index, workload in enumerate(spec.workloads):
+            table = format_sweep_table(
+                records[index * width:(index + 1) * width],
+                spec.policies, spec.archs, spec.grid,
             )
             if len(spec.workloads) > 1:
                 table = f"[{workload}]\n{table}"

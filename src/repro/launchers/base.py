@@ -108,7 +108,7 @@ class Launcher:
     def __init__(self) -> None:
         #: Times the backend was torn down and rebuilt mid-grid
         #: (e.g. a broken process pool replaced).  The runner maps
-        #: this onto ``RunnerStats.pool_retries``.
+        #: this onto ``runner.stats.pool_retries``.
         self.restarts = 0
 
     def max_workers(self, requested: int) -> int:

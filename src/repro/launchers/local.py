@@ -10,7 +10,7 @@ to kill a single hung worker -- so this launcher declares
 chunk, terminates the pool's worker processes outright and rebuilds
 the pool lazily on the next submit.  Innocent in-flight chunks are the
 scheduler's problem (it re-queues them uncharged); rebuilt-pool counts
-surface as ``restarts`` -> ``RunnerStats.pool_retries``.
+surface as ``restarts`` -> ``runner.stats.pool_retries``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ The scheduler replaces it with per-chunk machinery:
 
 The scheduler reports every decision through an ``on_event`` callback
 (``retry``/``timeout``/``quarantine``/``degrade``/``restart``) that
-the runner folds into :class:`~repro.experiments.runner.RunnerStats`,
+the runner folds into its ``runner.stats`` counters,
 so fault tolerance is visible in ``telemetry_summary()`` and
 ``repro report`` rather than silently absorbed.
 """
@@ -143,7 +143,7 @@ class RetryPolicy:
 
 class SchedulerReport:
     """Counters of one scheduling run (what the runner folds into
-    RunnerStats)."""
+    ``runner.stats``)."""
 
     def __init__(self) -> None:
         self.retries = 0            # charged re-queues (died/error/timeout)

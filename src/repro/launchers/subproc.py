@@ -145,8 +145,8 @@ def align_results(chunk: Chunk, entries: list) -> list:
         telemetry = None
         if entry.get("telemetry") is not None:
             try:
-                telemetry = SimTelemetry(**entry["telemetry"])
-            except TypeError:
+                telemetry = SimTelemetry.from_dict(entry["telemetry"])
+            except (KeyError, TypeError, AttributeError):
                 telemetry = None
         aligned.append((record, telemetry, bool(entry.get("cached"))))
     return aligned

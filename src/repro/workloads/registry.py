@@ -34,11 +34,11 @@ from __future__ import annotations
 import difflib
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ir.kernel import Kernel
 from repro.ir.serialize import fingerprint_of, load_kernel
+from repro.telemetry import Counters
 from repro.workloads.generator import WorkloadSpec, build_kernel
 
 #: Canonical extension for serialised kernels (what ``export-kernel``
@@ -57,25 +57,13 @@ def is_kernel_file_name(name: str) -> bool:
     return name.endswith(_FILE_NAME_SUFFIX)
 
 
-@dataclass
-class KernelBuildStats:
-    """Process-wide kernel-materialisation counters.
-
-    Fed by every registry's :meth:`WorkloadRegistry.get_kernel` miss
-    (generator runs, file loads) and surfaced through the runner's
-    telemetry, so sweeps can report how much wall-clock went into
-    building kernels versus simulating them.
-    """
-
-    kernel_builds: int = 0
-    kernel_build_seconds: float = 0.0
-
-    def snapshot(self) -> Tuple[int, float]:
-        return (self.kernel_builds, self.kernel_build_seconds)
-
-
-#: Shared across registries: the counters describe the process.
-BUILD_STATS = KernelBuildStats()
+#: Process-wide kernel-materialisation counters, shared across
+#: registries: ``kernel_builds`` and ``kernel_build_seconds``, fed by
+#: every :meth:`WorkloadRegistry.get_kernel` miss (generator runs, file
+#: loads) and surfaced through the runner's telemetry, so sweeps can
+#: report how much wall-clock went into building kernels versus
+#: simulating them.
+BUILD_STATS = Counters()
 
 
 class UnknownWorkloadError(ValueError):
@@ -301,10 +289,11 @@ class WorkloadRegistry:
 
     @staticmethod
     def _timed_build(provider: KernelProvider) -> Kernel:
-        BUILD_STATS.kernel_builds += 1
+        BUILD_STATS.add("kernel_builds")
         started = time.perf_counter()
         kernel = provider.build()
-        BUILD_STATS.kernel_build_seconds += time.perf_counter() - started
+        BUILD_STATS.add("kernel_build_seconds",
+                        time.perf_counter() - started)
         return kernel
 
     def get_kernel(self, name: str) -> Kernel:

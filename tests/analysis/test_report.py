@@ -7,7 +7,7 @@ import os
 from repro.analysis import build_report, discover_bench_files, write_report
 from repro.experiments import Runner
 from repro.experiments.latency_tolerance import sweep_requests
-from repro.store import Query
+from repro.store import Query, ResultStore
 
 SMALL = dict(max_resident_warps=8, active_warps=4)
 
@@ -23,6 +23,39 @@ def sweep_runner(tmp_path):
     ])
     runner.log_run("report-test sweep")
     return runner
+
+
+#: Run-log entries in the formats earlier versions wrote.
+PARENT_FORMAT_RUN_LOGS = [
+    {"label": "sweep btree", "time": 1700000000.0, "pool_retries": 0,
+     "batch_requests": 14, "memory_hits": 0, "disk_hits": 0,
+     "simulations": 14, "cache_hits": 14, "host_seconds": 3.25,
+     "simulated_cycles": 888932, "simulated_instructions": 402816,
+     "cycles_skipped": 289204,
+     "simulated_cycles_per_host_second": 273517.5,
+     "event_counts": {"issue": 402816, "memory_response": 5120},
+     "kernel_builds": 1, "kernel_build_seconds": 0.125,
+     "compile_cache_hits": 6, "compile_cache_misses": 1,
+     "compile_seconds": 0.5, "chunk_retries": 2, "chunk_timeouts": 1,
+     "chunks_quarantined": 0, "backend_degradations": 1},
+    {"label": "sweep btree", "time": 1700000100.0, "pool_retries": 1,
+     "batch_requests": 14, "memory_hits": 14, "disk_hits": 14,
+     "simulations": 0, "cache_hits": 28, "host_seconds": 0.0,
+     "simulated_cycles": 0, "simulated_instructions": 0,
+     "cycles_skipped": 0, "simulated_cycles_per_host_second": 0.0,
+     "event_counts": {}, "kernel_builds": 1,
+     "kernel_build_seconds": 0.0625, "compile_cache_hits": 0,
+     "compile_cache_misses": 0, "compile_seconds": 0.0,
+     "chunk_retries": 0, "chunk_timeouts": 0, "chunks_quarantined": 0,
+     "backend_degradations": 0},
+    {"label": "replay-era run", "time": 1700000200.0,
+     "simulations": 3, "cache_hits": 1, "host_seconds": 0.25,
+     "spec": {"workloads": ["btree"], "engine": None},
+     "replays_served": 1, "replays_recorded": 1,
+     "replay_fallbacks_static": 1, "replay_fallbacks_diverged": 1},
+    {"label": "old-format run", "time": 1700000300.0,
+     "simulations": 7, "cache_hits": 0, "host_seconds": 0.5},
+]
 
 
 def write_bench(path, medians):
@@ -140,6 +173,31 @@ class TestBuildReport:
         html = open(paths["report.html"]).read()
         assert "replay-era run" in html
         assert "replay:" not in html
+
+    def test_parent_format_run_logs_render_the_same_section(
+            self, tmp_path, monkeypatch):
+        """Run-log entries exactly as earlier versions wrote them -- a
+        full entry, one with the old double-counted cache hits, the
+        replay-era entry and a pre-backend one -- render the golden
+        "Engine telemetry" section byte for byte."""
+        import time
+
+        from repro.analysis import render_html
+
+        # The per-run table prints local time; pin it to UTC.
+        monkeypatch.setattr(time, "localtime", time.gmtime)
+        root = tmp_path / "store"
+        store = ResultStore(str(root))
+        for entry in PARENT_FORMAT_RUN_LOGS:
+            store.append_run_log(entry)
+        store.close()
+        html = render_html(build_report(Query.open(str(root))))
+        section = html[html.index("<h2>Engine telemetry</h2>"):
+                       html.index("<h2>Store health</h2>")]
+        golden = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "golden", "report_telemetry_section.html")
+        with open(golden, encoding="utf-8") as handle:
+            assert section == handle.read()
 
     def test_bench_trajectory(self, tmp_path):
         write_bench(tmp_path / "BENCH_1.json", {"bench::a": 1.5})

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from repro.arch import GPUConfig
 from repro.experiments import Runner, SimRequest
@@ -220,15 +220,12 @@ class TestContentKeyedStore:
         record, telemetry = runner_module.execute_request_with_telemetry(
             request
         )
-        shifted = runner_module.SimTelemetry(
-            engine=telemetry.engine, host_seconds=telemetry.host_seconds,
-            cycles=telemetry.cycles, instructions=telemetry.instructions,
-            cycles_skipped=telemetry.cycles_skipped,
-            event_counts=telemetry.event_counts,
-            kernel_fingerprint="feedfacefeedface",
+        shifted = replace(
+            telemetry, kernel_fingerprint="feedfacefeedface"
         )
+        # Runner.simulate executes through the jobs-layer plan.
         monkeypatch.setattr(
-            runner_module, "execute_request_with_telemetry",
+            "repro.jobs.plan.execute_request_with_telemetry",
             lambda req: (record, shifted),
         )
         runner.simulate("btree", "BL", SMALL)

@@ -46,6 +46,9 @@ class TestLifecycle:
         assert second.progress["executed"] == 0
         assert second.records == first.records
         assert second.table == first.table
+        # Each point is counted once: rendering the table adds no hits.
+        assert first.telemetry["cache_hits"] == first.progress["hits"] == 0
+        assert second.telemetry["cache_hits"] == second.progress["hits"]
 
     def test_table_matches_cli_sweep_rendering(self, tmp_path):
         from repro.experiments import render_sweep_table

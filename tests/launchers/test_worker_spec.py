@@ -70,6 +70,33 @@ class TestSpecRoundtrip:
         )
         assert [entry[0] for entry in aligned] == direct
 
+    def test_telemetry_round_trips_through_align_results(self, tmp_path):
+        """A worker's SimTelemetry crosses the process boundary as JSON
+        and comes back as the same counters, nested families included."""
+        from dataclasses import asdict
+
+        from repro.experiments.runner import execute_request_with_telemetry
+        from repro.telemetry import Counters
+
+        items = make_items()
+        spec_path, output = write_spec(tmp_path, items)
+        run_worker_chunk(load_chunk_spec(spec_path))
+        entries = load_chunk_result(output, expect_chunk=0,
+                                    expect_attempt=0)
+        aligned = align_results(Chunk(id=0, items=items), entries)
+        for entry, (_record, telemetry, _cached) in zip(entries, aligned):
+            assert isinstance(telemetry.counters, Counters)
+            assert isinstance(telemetry.counters.event_counts, Counters)
+            assert asdict(telemetry) == entry["telemetry"]
+            assert telemetry.counters.host_seconds > 0.0
+        # The deterministic counts match an in-process run exactly.
+        _, direct = execute_request_with_telemetry(items[0][1])
+        shipped = aligned[0][1]
+        assert shipped.kernel_fingerprint == direct.kernel_fingerprint
+        for name in ("simulated_cycles", "simulated_instructions",
+                     "cycles_skipped", "event_counts"):
+            assert shipped.counters[name] == direct.counters[name]
+
     def test_spec_carries_full_arch_not_a_registry_name(self, tmp_path):
         items = make_items()
         spec = encode_chunk_spec(0, 0, "w1", items, output="out.json")

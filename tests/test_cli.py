@@ -510,6 +510,35 @@ class TestArchFrontend:
         assert "did you mean" in capsys.readouterr().err
 
 
+class TestSweepCounts:
+    """The `[engine]` line counts each grid point once: a cold sweep
+    simulates every point and hits nothing, a warm one hits every
+    point once (rendering the table adds no lookups)."""
+
+    def test_cold_then_warm_sweep(self, capsys, monkeypatch, tmp_path):
+        from repro.arch import GPUConfig
+        from repro.arch.serialize import save_arch
+        from repro.store import Query
+
+        store = str(tmp_path / "store")
+        monkeypatch.setenv("LTRF_CACHE_DIR", store)
+        arch = str(tmp_path / "small.arch.json")
+        save_arch(GPUConfig(max_resident_warps=8, active_warps=4), arch)
+        argv = ["sweep", "btree", "--policies", "BL,LTRF", "--arch", arch]
+
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "[engine] simulated 14 run(s) (0 cache hit(s))" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "[engine] simulated 0 run(s) (14 cache hit(s))" in warm
+        assert warm.split("[engine]")[0] == cold.split("[engine]")[0]
+
+        logged = [(entry["simulations"], entry["cache_hits"])
+                  for entry in Query.open(store).run_history()]
+        assert logged == [(14, 0), (0, 14)]
+
+
 class TestFaultToleranceCli:
     """The distributed-backend surface: --backend/--hosts,
     worker-chunk, store merge, and graceful interruption."""
